@@ -32,7 +32,7 @@ def test_colo4_compare_and_regression_gate():
         # alongside events executed, never more of the former.
         assert 0 < row["batches"] <= row["events"]
         assert row["batches_per_s"] > 0
-        assert row["queue"] == "auto"
+        assert "queue" not in row  # one event queue: no column
         assert len(row["result_hash"]) == 64
     # Bit-identity across recompute modes (run_bench also enforces this).
     assert rows["incremental"]["result_hash"] == rows["full"]["result_hash"]

@@ -1,6 +1,6 @@
 """Benchmark runner: times pinned scenarios, emits ``BENCH_<rev>.json``.
 
-A *row* is one (scenario, recompute-mode, queue) measurement: best-of-N
+A *row* is one (scenario, recompute-mode) measurement: best-of-N
 wall time, engine events/second, batches (distinct instants)/second, and
 the run's result hash.  Because every scenario is deterministic, the
 hash doubles as a correctness check — in ``compare`` mode the runner
@@ -47,9 +47,11 @@ __all__ = [
     "write_report",
 ]
 
-#: Schema 2 adds ``batches`` / ``batches_per_s`` / ``queue`` to every row
+#: Schema 2 adds ``batches`` / ``batches_per_s`` to every row
 #: (equal-timestamp batching honesty) and the ``recommended_modes``
-#: per-scenario crossover verdict to compare reports.
+#: per-scenario crossover verdict to compare reports.  (Reports written
+#: while the engine had a choice of event queue also carry a ``queue``
+#: field; readers ignore it.)
 BENCH_SCHEMA = 2
 
 #: Recompute modes map to the device's ``REPRO_RECOMPUTE`` knob:
@@ -58,8 +60,6 @@ BENCH_SCHEMA = 2
 #: the bit-identity oracle).
 _MODES = ("auto", "incremental", "full")
 
-_QUEUES = ("auto", "heap", "calendar")
-
 
 class BenchError(RuntimeError):
     """A bench invariant failed (hash mismatch, regression, bad input)."""
@@ -67,11 +67,10 @@ class BenchError(RuntimeError):
 
 @dataclass(frozen=True)
 class BenchRow:
-    """One timed (scenario, mode, queue) measurement."""
+    """One timed (scenario, mode) measurement."""
 
     scenario: str
     mode: str
-    queue: str
     wall_s: float
     events: int
     batches: int
@@ -117,7 +116,7 @@ class _env:
 
 
 def run_scenario(name: str, mode: str = "auto",
-                 repeats: int = 1, queue: str = "auto") -> BenchRow:
+                 repeats: int = 1) -> BenchRow:
     """Time one scenario ``repeats`` times and keep the best wall time.
 
     All repeats must produce the same result hash (the scenarios are
@@ -129,15 +128,12 @@ def run_scenario(name: str, mode: str = "auto",
             f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")
     if mode not in _MODES:
         raise BenchError(f"unknown mode {mode!r}; available: {list(_MODES)}")
-    if queue not in _QUEUES:
-        raise BenchError(
-            f"unknown queue {queue!r}; available: {list(_QUEUES)}")
     if repeats < 1:
         raise BenchError("repeats must be >= 1")
 
     best: Optional[float] = None
     run: Optional[ScenarioRun] = None
-    with _env(REPRO_RECOMPUTE=mode, REPRO_SIM_QUEUE=queue):
+    with _env(REPRO_RECOMPUTE=mode):
         for _ in range(repeats):
             start = time.perf_counter()
             this_run = scenario.execute()
@@ -154,7 +150,6 @@ def run_scenario(name: str, mode: str = "auto",
     return BenchRow(
         scenario=name,
         mode=mode,
-        queue=queue,
         wall_s=round(best, 4),
         events=run.events,
         batches=run.batches,
@@ -165,8 +160,7 @@ def run_scenario(name: str, mode: str = "auto",
     )
 
 
-def profile_scenario(name: str, mode: str = "auto",
-                     queue: str = "auto") -> dict:
+def profile_scenario(name: str, mode: str = "auto") -> dict:
     """Run ``name`` once under the per-phase profiler; return the breakdown.
 
     Profiled runs pay ~2 clock reads per event plus 2 per instrumented
@@ -181,7 +175,7 @@ def profile_scenario(name: str, mode: str = "auto",
             f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")
     simprofile.activate()
     try:
-        with _env(REPRO_RECOMPUTE=mode, REPRO_SIM_QUEUE=queue):
+        with _env(REPRO_RECOMPUTE=mode):
             scenario.execute()
     finally:
         profiler = simprofile.deactivate()
@@ -189,14 +183,12 @@ def profile_scenario(name: str, mode: str = "auto",
     breakdown = profiler.breakdown()
     breakdown["scenario"] = name
     breakdown["mode"] = mode
-    breakdown["queue"] = queue
     breakdown["formatted"] = profiler.format()
     return breakdown
 
 
 def run_bench(names: Optional[Sequence[str]] = None, *,
-              compare: bool = False, repeats: int = 1,
-              queue: str = "auto") -> dict:
+              compare: bool = False, repeats: int = 1) -> dict:
     """Run scenarios and return a schema-:data:`BENCH_SCHEMA` report.
 
     With ``compare=True`` each scenario is run in both forced recompute
@@ -212,10 +204,10 @@ def run_bench(names: Optional[Sequence[str]] = None, *,
     speedups: dict[str, float] = {}
     recommended: dict[str, str] = {}
     for name in names:
-        incremental = run_scenario(name, "incremental", repeats, queue)
+        incremental = run_scenario(name, "incremental", repeats)
         rows.append(incremental)
         if compare:
-            full = run_scenario(name, "full", repeats, queue)
+            full = run_scenario(name, "full", repeats)
             rows.append(full)
             if full.result_hash != incremental.result_hash:
                 raise BenchError(
@@ -233,7 +225,6 @@ def run_bench(names: Optional[Sequence[str]] = None, *,
         "rev": _git_rev(),
         "version": repro.__version__,
         "python": sys.version.split()[0],
-        "queue": queue,
         "rows": [asdict(row) for row in rows],
     }
     if compare:
@@ -312,7 +303,7 @@ def baseline_deltas(report: dict, baseline: dict) -> dict[str, float]:
     ``events_per_s``); rows present on only one side are skipped.
     """
     # ``.get`` throughout: a legacy schema-1 baseline predates several
-    # row keys (``batches``, ``queue``), and a hand-edited one may lack
+    # row keys (``batches``), and a hand-edited one may lack
     # anything — comparison degrades to the rows both sides share.
     base_rows = {(r.get("scenario"), r.get("mode")): r
                  for r in baseline.get("rows", []) if isinstance(r, dict)}

@@ -554,7 +554,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         # instead of timing rows.
         try:
             for name in names:
-                breakdown = profile_scenario(name, queue=args.queue)
+                breakdown = profile_scenario(name)
                 print(f"-- {name} --")
                 print(breakdown["formatted"])
         except BenchError as exc:
@@ -563,8 +563,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        report = run_bench(names, compare=args.compare, repeats=args.repeat,
-                           queue=args.queue)
+        report = run_bench(names, compare=args.compare, repeats=args.repeat)
     except BenchError as exc:
         print(f"bench failed: {exc}", file=sys.stderr)
         return 1
@@ -1060,9 +1059,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "assert bit-identical hashes, report speedups "
                             "and deltas vs the newest committed "
                             "BENCH_*.json")
-    bench.add_argument("--queue", choices=("auto", "heap", "calendar"),
-                       default="auto",
-                       help="event queue implementation (default auto)")
     bench.add_argument("--profile", action="store_true",
                        help="print a per-phase wall-time breakdown per "
                             "scenario instead of timing rows")

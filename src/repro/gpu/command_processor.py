@@ -22,11 +22,12 @@ emulation methodology (Section V) builds on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from functools import partial
+from typing import Callable, Optional, Protocol
 
 from repro.gpu.aql import AqlPacket, BarrierAndPacket, KernelDispatchPacket
 from repro.gpu.cu_mask import CUMask
-from repro.gpu.device import GpuDevice
+from repro.gpu.device import GpuDevice, KernelRecord
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.queue import HsaQueue
 from repro.sim.engine import Simulator
@@ -67,14 +68,31 @@ class CommandProcessorConfig:
 class _QueueState:
     """Per-queue in-order processing state."""
 
+    __slots__ = ("queue", "consuming", "waiting", "last_completion",
+                 "on_retire")
+
     def __init__(self, queue: HsaQueue) -> None:
         self.queue = queue
         self.consuming = False
+        #: Blocked on ``last_completion`` by a barrier-bit packet; the
+        #: queue's retire hook resumes it.
+        self.waiting = False
         self.last_completion: Optional[Signal] = None
+        #: The device ``on_complete`` hook of every kernel this queue
+        #: launches, bound once here rather than once per launch.
+        self.on_retire: Optional[Callable[[KernelRecord], None]] = None
 
 
 class CommandProcessor:
-    """Drains registered HSA queues into the device."""
+    """Drains registered HSA queues into the device.
+
+    A sized kernel (allocator installed, ``requested_cus`` set) costs two
+    engine events: one when the packet processor has consumed the packet
+    and generated its mask, which launches it on the device, and one when
+    it retires.  Retirement fires the packet's completion signal directly
+    and, if the queue is blocked behind that kernel, resumes the queue
+    from the device's ``on_complete`` hook.
+    """
 
     def __init__(
         self,
@@ -98,6 +116,7 @@ class CommandProcessor:
         if queue.topology != self.device.topology:
             raise ValueError("queue topology does not match device")
         state = _QueueState(queue)
+        state.on_retire = partial(self._kernel_retired, state)
         self._states[queue.queue_id] = state
         queue.attach_doorbell(lambda _q, s=state: self._drive(s))
 
@@ -110,16 +129,21 @@ class CommandProcessor:
             return
         if self._must_wait_for_previous(state, packet):
             state.consuming = True
-            assert state.last_completion is not None
-            state.last_completion.on_fire(
-                lambda _v: self._resume_after_wait(state)
-            )
+            state.waiting = True
             return
         self._consume(state)
 
-    def _resume_after_wait(self, state: _QueueState) -> None:
-        state.consuming = False
-        self._drive(state)
+    def _kernel_retired(self, state: _QueueState,
+                        record: KernelRecord) -> None:
+        """Device ``on_complete`` hook: resume a queue blocked on ``record``.
+
+        The device fires ``record.done`` before calling this, so the
+        barrier check in :meth:`_drive` sees it fired.
+        """
+        if state.waiting and record.done is state.last_completion:
+            state.waiting = False
+            state.consuming = False
+            self._drive(state)
 
     def _must_wait_for_previous(
         self, state: _QueueState, packet: AqlPacket
@@ -132,52 +156,53 @@ class CommandProcessor:
         packet = state.queue.pop()
         assert packet is not None
         state.consuming = True
-        self.sim.schedule_in(
-            self.config.packet_process_latency,
-            lambda: self._process(state, packet),
-        )
+        config = self.config
+        if (self.allocator is not None
+                and isinstance(packet, KernelDispatchPacket)
+                and packet.launch.requested_cus is not None):
+            # Packet processing and mask generation are one firmware
+            # step, so one event; its time is the exact float of charging
+            # the two latencies one after the other.
+            self.sim.schedule(
+                (self.sim.now + config.packet_process_latency)
+                + config.mask_gen_latency,
+                lambda: self._process_sized_kernel(state, packet))
+        else:
+            self.sim.schedule_in(
+                config.packet_process_latency,
+                lambda: self._process(state, packet),
+            )
 
     def _process(self, state: _QueueState, packet: AqlPacket) -> None:
         self.packets_consumed += 1
         if isinstance(packet, KernelDispatchPacket):
-            self._process_kernel(state, packet)
+            self._launch(state, packet, state.queue.cu_mask)
         elif isinstance(packet, BarrierAndPacket):
             self._process_barrier(state, packet)
         else:
             raise TypeError(f"unknown packet type {type(packet).__name__}")
 
-    def _process_kernel(
+    def _process_sized_kernel(
         self, state: _QueueState, packet: KernelDispatchPacket
     ) -> None:
+        """Consume a sized dispatch packet: generate its mask, launch."""
+        self.packets_consumed += 1
         launch = packet.launch
-        use_allocator = (
-            self.allocator is not None and launch.requested_cus is not None
-        )
-        extra_delay = self.config.mask_gen_latency if use_allocator else 0.0
+        assert self.allocator is not None
+        mask = self.allocator.allocate(launch, self.device)
+        self.masks_generated += 1
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.mask_decision(launch, mask, self.device)
+        self._launch(state, packet, mask)
 
-        def dispatch() -> None:
-            if use_allocator:
-                assert self.allocator is not None
-                mask = self.allocator.allocate(launch, self.device)
-                self.masks_generated += 1
-                tracer = self.sim.tracer
-                if tracer.enabled:
-                    tracer.mask_decision(launch, mask, self.device)
-            else:
-                mask = state.queue.cu_mask
-            record = self.device.launch(launch, mask)
-            if packet.completion_signal is not None:
-                record.done.on_fire(
-                    lambda value: packet.completion_signal.fire(value)
-                )
-            state.last_completion = record.done
-            state.consuming = False
-            self._drive(state)
-
-        if extra_delay > 0:
-            self.sim.schedule_in(extra_delay, dispatch)
-        else:
-            dispatch()
+    def _launch(self, state: _QueueState, packet: KernelDispatchPacket,
+                mask: CUMask) -> None:
+        record = self.device.launch(packet.launch, mask, state.on_retire,
+                                    done=packet.completion_signal)
+        state.last_completion = record.done
+        state.consuming = False
+        self._drive(state)
 
     def _process_barrier(
         self, state: _QueueState, packet: BarrierAndPacket

@@ -30,6 +30,12 @@ of the full O(all-residents) sweep.  Set ``REPRO_FULL_RECOMPUTE=1`` (or
 construct ``GpuDevice(full_recompute=True)``) to force the full sweep —
 the validation oracle the property tests compare against.
 
+Every state change commits eagerly: the affected rates are recomputed
+and their completions rescheduled before the launch or retirement
+returns, on one scalar (pure-Python float) path.  A kernel's retirement
+fires its ``done`` signal first and then its ``on_complete`` hook, so a
+hook observes a fired signal.
+
 The device also owns the per-CU kernel counters (the *Resource Monitor*
 KRISP's allocator reads) and the energy meter.
 """
@@ -52,7 +58,6 @@ from repro.gpu.exec_model import (
 )
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.power import EnergyMeter, PowerModel
-from repro.gpu.ratevec import VECTOR_MIN as _VECTOR_MIN
 from repro.gpu.topology import GpuTopology
 from repro.sim.engine import Event, Simulator
 from repro.sim.process import Signal
@@ -100,10 +105,6 @@ class KernelRecord:
     seq_no: int = field(default=0, repr=False)
     complete_cb: Optional[Callable[[], None]] = field(
         default=None, repr=False)
-    # Row in the device's vectorised rate arrays (numpy mode only; the
-    # arrays are then authoritative for progress — ``sync_progress``
-    # scatters back into the field).
-    slot: int = field(default=-1, repr=False)
 
 
 class GpuDevice:
@@ -162,36 +163,10 @@ class GpuDevice:
         self.recompute_mode = recompute
         self.full_recompute = full_recompute
         self._force_incremental = recompute == "incremental"
-        # Equal-timestamp batching: while the engine is inside run(),
-        # commits are deferred — dirty sets accumulate and one recompute
-        # runs at the instant boundary (the engine's flush hook), so N
-        # same-instant state changes cost one sweep instead of N.
-        # REPRO_NO_DEFER=1 restores the eager per-change commit (the
-        # validation oracle for the batched path); outside run() commits
-        # are always eager, so single-stepped harnesses see consistent
-        # state after every call.
-        self._defer = os.environ.get(
-            "REPRO_NO_DEFER", "").lower() in ("", "0", "false")
-        self._pending = False
-        self._pending_full = False
-        self._pending_dirty: set[int] = set()
-        sim.add_flush_hook(self._flush_commit)
         # The profiler module is imported lazily (the profiling package's
         # init pulls in modules that import this one).
         from repro.profiling import simprofile
         self._simprofile = simprofile
-        # Numpy-vectorised rate state (repro.gpu.ratevec): the progress
-        # and effective-latency sweeps run over slot-indexed arrays, with
-        # the scalar formulas below as the bit-identical source of truth.
-        # REPRO_SCALAR_RATES=1 (or numpy being absent) keeps the
-        # pure-python path.
-        self._vec = None
-        if os.environ.get("REPRO_SCALAR_RATES", "").lower() in (
-                "", "0", "false"):
-            from repro.gpu import ratevec
-            if ratevec.HAVE_NUMPY:
-                self._vec = ratevec.RateArrays(
-                    self.topology, self.exec_config)
         # Incremental-recompute state, keyed by per-device launch seq
         # numbers: CU → resident seq numbers, the seq numbers with
         # positive bandwidth demand (the reach of the over-budget
@@ -229,12 +204,21 @@ class GpuDevice:
         launch: KernelLaunch,
         mask: CUMask,
         on_complete: Optional[Callable[[KernelRecord], None]] = None,
+        done: Optional[Signal] = None,
     ) -> KernelRecord:
         """Start executing ``launch`` on the CUs in ``mask``.
 
         Returns the kernel's record; its ``done`` signal fires at
-        retirement.  The mask must be non-empty and belong to this device.
+        retirement (with the record as value), then ``on_complete(record)``
+        runs.  ``done`` supplies that signal — the command processor
+        passes the dispatch packet's completion signal, so retirement
+        fires it directly; by default the device allocates one.  A
+        supplied ``done`` must not have fired yet.  The mask must be
+        non-empty and belong to this device.
         """
+        if done is not None and done.fired:
+            raise ValueError(
+                f"kernel {launch.descriptor.name}: done signal already fired")
         if mask.topology != self.topology:
             raise ValueError("mask topology does not match device")
         if mask.is_empty():
@@ -256,7 +240,7 @@ class GpuDevice:
             # Unnamed: per-launch f-string names showed up in profiles
             # and nothing reads them (debuggers can reconstruct the id
             # from the record).
-            done=Signal(self.sim),
+            done=Signal(self.sim) if done is None else done,
             start_time=self.sim.now,
             last_update=self.sim.now,
             on_complete=on_complete,
@@ -264,8 +248,6 @@ class GpuDevice:
             complete_cb=partial(self._complete, seq_no),
         )
         self._cache_invariants(record)
-        if self._vec is not None:
-            record.slot = self._vec.alloc(record)
         old_total = self._total_demand
         self._total_demand += record.demand
         self._running[seq_no] = record
@@ -468,15 +450,11 @@ class GpuDevice:
         # per-record ``last_update`` field while a kernel is resident
         # (the field is refreshed at retirement).
         elapsed = now - last
-        vec = self._vec
-        if vec is not None:
-            vec.advance(elapsed)
-        else:
-            for record in self._running.values():
-                lat = record.eff_latency
-                if lat > 0:
-                    progress = record.progress + elapsed / lat
-                    record.progress = 1.0 if progress > 1.0 else progress
+        for record in self._running.values():
+            lat = record.eff_latency
+            if lat > 0:
+                progress = record.progress + elapsed / lat
+                record.progress = 1.0 if progress > 1.0 else progress
         if profiler is not None:
             profiler.add("progress_advance", perf_counter() - t0)
 
@@ -507,45 +485,8 @@ class GpuDevice:
         return dirty
 
     def _commit_state_change(self, dirty: Optional[set[int]] = None) -> None:
-        """Recompute affected rates and reschedule completions.
-
-        ``dirty=None`` (and ``full_recompute`` mode) sweeps every
-        resident.  While the engine is inside ``run()`` the commit is
-        deferred: dirty sets union up and :meth:`_flush_commit` runs one
-        recompute at the instant boundary.  No simulated time passes
-        within an instant, so the rates recomputed at the boundary from
-        the final state are the exact floats the last eager commit would
-        have produced; the intermediate recomputes the eager path does
-        are overwritten unread.
-        """
-        if self._defer and self.sim._running:
-            self._pending = True
-            if dirty is None:
-                self._pending_full = True
-            elif not self._pending_full:
-                self._pending_dirty |= dirty
-            return
-        self._commit_now(dirty)
-
-    def _flush_commit(self) -> None:
-        """Engine flush hook: run the one deferred commit for the instant."""
-        if not self._pending:
-            return
-        self._pending = False
-        if self._pending_full:
-            self._pending_full = False
-            self._pending_dirty.clear()
-            dirty = None
-        else:
-            dirty = self._pending_dirty
-            self._pending_dirty = set()
-            # Records both dirtied and retired within the instant are
-            # gone from the resident set; drop their seq numbers.
-            dirty &= self._running.keys()
-        self._commit_now(dirty)
-
-    def _commit_now(self, dirty: Optional[set[int]]) -> None:
-        """The actual commit: recompute affected rates, advance the meter.
+        """Recompute affected rates, reschedule completions, advance the
+        meter.
 
         ``dirty=None`` (and ``full_recompute`` mode) sweeps every
         resident.  A dirty set is replayed in launch order — the same
@@ -621,13 +562,9 @@ class GpuDevice:
         self.meter.advance(self.sim.now, busy, active_ses)
 
     def _recompute_rates(self, records: Iterable[KernelRecord]) -> None:
-        vec = self._vec
-        if vec is not None:
-            self._recompute_rates_vec(records)
-            return
         effective_latency = self._effective_latency
         schedule = self.sim.schedule
-        now = self.sim.now
+        now = self.sim._now
         for record in records:
             latency = effective_latency(record)
             event = record.completion_event
@@ -641,69 +578,6 @@ class GpuDevice:
             # ``now + delay`` is the exact float schedule_in computes.
             delay = 0.0 if remaining <= _PROGRESS_EPS else remaining * latency
             record.completion_event = schedule(now + delay, record.complete_cb)
-
-    def _recompute_rates_vec(self, records: Iterable[KernelRecord]) -> None:
-        """Numpy-mode recompute: array progress, optional vector sweep.
-
-        Small batches use the scalar latency formula per record (the
-        vector sweep's fixed cost loses below ~16 records); large ones
-        compute every slot's latency in one array pass.  Both read
-        progress from the authoritative array and schedule completions
-        in the records' iteration order, exactly like the scalar path.
-        Fault latency scales stay on the scalar formula — the vector
-        sweep does not model them.
-        """
-        vec = self._vec
-        records = records if isinstance(records, list) else list(records)
-        latencies = None
-        if len(records) >= _VECTOR_MIN and self._fault_scale == 1.0 \
-                and not self._fault_tag_scale:
-            total_demand = self._total_demand
-            if self._fault_demand > 0.0:
-                total_demand = total_demand + self._fault_demand
-            latencies = vec.latencies(self._residents, total_demand)
-        effective_latency = self._effective_latency
-        schedule = self.sim.schedule
-        now = self.sim._now
-        progress_arr = vec.progress
-        lat_arr = vec.lat
-        for record in records:
-            if latencies is not None:
-                latency = latencies[record.slot]
-            else:
-                latency = effective_latency(record)
-            event = record.completion_event
-            if event is not None:
-                if not event.cancelled and latency == record.eff_latency:
-                    continue  # rate unchanged; completion still valid
-                event.cancel()
-            record.eff_latency = latency
-            lat_arr[record.slot] = latency
-            # ``item()`` returns a builtin float: numpy scalars must not
-            # leak into event times (their repr would poison the
-            # canonical result JSON downstream).
-            remaining = 1.0 - progress_arr.item(record.slot)
-            # Inlined schedule_in: delay is >= 0 by construction and
-            # ``now + delay`` is the exact float schedule_in computes.
-            delay = 0.0 if remaining <= _PROGRESS_EPS else remaining * latency
-            record.completion_event = schedule(now + delay, record.complete_cb)
-
-    def sync_progress(self) -> None:
-        """Scatter array-authoritative progress back into the records.
-
-        In numpy mode the slot arrays hold the live progress values;
-        call this before reading ``KernelRecord.progress`` directly
-        (audits, tests, snapshots).  No-op in scalar mode.
-        """
-        vec = self._vec
-        if vec is None:
-            return
-        progress = vec.progress
-        for record in self._running.values():
-            value = progress.item(record.slot)
-            # The arrays defer the scalar path's 1.0 clamp (see
-            # RateArrays.advance); apply it on the way out.
-            record.progress = 1.0 if value > 1.0 else value
 
     def check_rate_invariant(self) -> None:
         """Assert every resident's cached rate matches a fresh recompute.
@@ -742,7 +616,6 @@ class GpuDevice:
         violations: list[str] = []
         running = self._running
         topo = self.topology
-        self.sync_progress()
 
         # Pool-switch ledger: monotone non-negative, and cost implies
         # at least one switch.
@@ -850,9 +723,6 @@ class GpuDevice:
         if record is None:
             return
         self._advance_progress()
-        if self._vec is not None:
-            self._vec.free(record.slot)
-            record.slot = -1
         record.progress = 1.0
         record.last_update = self.sim.now
         record.end_time = self.sim.now
@@ -876,6 +746,9 @@ class GpuDevice:
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.kernel_retired(record)
+        # Fire before the hook: a hook (the command processor's barrier
+        # resume) then sees ``done.fired``, and the signal's waiters are
+        # scheduled ahead of anything the hook schedules.
+        record.done.fire(record)
         if record.on_complete is not None:
             record.on_complete(record)
-        record.done.fire(record)

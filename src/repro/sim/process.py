@@ -25,8 +25,11 @@ class Signal:
     """A one-shot event other components can wait on.
 
     Mirrors an HSA signal: it starts unfired, ``fire(value)`` wakes every
-    waiter exactly once, and late waiters resume immediately.
+    waiter exactly once, and late waiters resume immediately.  Slotted:
+    one is allocated per kernel launch.
     """
+
+    __slots__ = ("_sim", "name", "fired", "value", "_waiters")
 
     def __init__(self, sim: Simulator, name: str = "") -> None:
         self._sim = sim

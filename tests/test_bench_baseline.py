@@ -62,11 +62,12 @@ def test_history_position_beats_schema_and_name(tmp_path, monkeypatch):
 
 def test_repo_root_baseline_is_the_committed_schema2_file():
     # The real repo root holds a schema-1 file from a rev outside the
-    # first-parent history and a schema-2 file from a committed rev; the
-    # committed one must always win (this was mtime-dependent before).
+    # first-parent history and schema-2 files from committed revs; the
+    # newest committed one must always win (this was mtime-dependent
+    # before).
     path = default_baseline_path()
     assert path is not None
-    assert path.name == "BENCH_7fecf69.json"
+    assert path.name == "BENCH_818f9d0.json"
 
 
 def test_corrupt_baselines_rank_last_without_crashing(tmp_path):

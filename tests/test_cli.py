@@ -108,7 +108,7 @@ def test_bench_command(tmp_path, capsys):
     assert {row["mode"] for row in report["rows"]} == {"incremental", "full"}
     for row in report["rows"]:
         assert row["scenario"] == "colo4"
-        assert row["queue"] == "auto"
+        assert "queue" not in row  # one event queue: no column
         assert row["wall_s"] > 0
         assert row["events"] > 0
         assert 0 < row["batches"] <= row["events"]

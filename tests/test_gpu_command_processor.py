@@ -12,8 +12,10 @@ from repro.gpu.exec_model import ExecutionModelConfig
 from repro.gpu.kernel import KernelDescriptor, KernelLaunch
 from repro.gpu.queue import HsaQueue
 from repro.gpu.topology import GpuTopology
+from repro.runtime.hsa import HsaRuntime
+from repro.runtime.stream import Stream
 from repro.sim.engine import Simulator
-from repro.sim.process import Signal
+from repro.sim.process import Process, Signal
 
 TOPO = GpuTopology.mi50()
 CFG = ExecutionModelConfig(launch_overhead=0.0, intra_cu_alpha=1.0)
@@ -44,8 +46,8 @@ def test_barrier_bit_serializes_kernels():
     max_running = []
     orig_launch = device.launch
 
-    def spy(launch, mask, on_complete=None):
-        record = orig_launch(launch, mask, on_complete)
+    def spy(launch, mask, *args, **kwargs):
+        record = orig_launch(launch, mask, *args, **kwargs)
         max_running.append(device.running_count())
         return record
 
@@ -62,8 +64,8 @@ def test_no_barrier_bit_allows_same_queue_overlap():
     max_running = []
     orig_launch = device.launch
 
-    def spy(launch, mask, on_complete=None):
-        record = orig_launch(launch, mask, on_complete)
+    def spy(launch, mask, *args, **kwargs):
+        record = orig_launch(launch, mask, *args, **kwargs)
         max_running.append(device.running_count())
         return record
 
@@ -108,8 +110,8 @@ def test_kernel_scoped_allocation_uses_requested_size():
     sim, device, cp, queue = make_cp(allocator=allocator)
     masks = []
     orig_launch = device.launch
-    device.launch = lambda l, m, on_complete=None: (
-        masks.append(m.count()) or orig_launch(l, m, on_complete))
+    device.launch = lambda l, m, *args, **kwargs: (
+        masks.append(m.count()) or orig_launch(l, m, *args, **kwargs))
     queue.submit(kernel_packet("sized", workgroups=12, requested=12))
     queue.submit(kernel_packet("unsized", workgroups=12, requested=None))
     sim.run()
@@ -125,8 +127,8 @@ def test_mask_generation_latency_charged():
     sim, device, cp, queue = make_cp(allocator=allocator, config=config)
     starts = []
     orig_launch = device.launch
-    device.launch = lambda l, m, on_complete=None: (
-        starts.append(sim.now) or orig_launch(l, m, on_complete))
+    device.launch = lambda l, m, *args, **kwargs: (
+        starts.append(sim.now) or orig_launch(l, m, *args, **kwargs))
     queue.submit(kernel_packet("sized", requested=30))
     sim.run()
     assert starts[0] == pytest.approx(5e-6)
@@ -143,9 +145,9 @@ def test_multiple_queues_progress_independently():
     q2.set_cu_mask(CUMask.from_cus(TOPO, range(30, 60)))
     max_running = []
     orig_launch = device.launch
-    device.launch = lambda l, m, on_complete=None: (
+    device.launch = lambda l, m, *args, **kwargs: (
         max_running.append(device.running_count())
-        or orig_launch(l, m, on_complete))
+        or orig_launch(l, m, *args, **kwargs))
     q1.submit(kernel_packet("a", workgroups=30))
     q2.submit(kernel_packet("b", workgroups=30))
     sim.run()
@@ -164,3 +166,74 @@ def test_topology_mismatch_rejected():
 def test_config_validation():
     with pytest.raises(ValueError):
         CommandProcessorConfig(packet_process_latency=-1.0)
+
+
+# -- the two-event kernel chain ------------------------------------------
+
+
+def sized_stream(record_trace=False):
+    sim = Simulator()
+    device = GpuDevice(sim, TOPO, exec_config=CFG, record_trace=record_trace)
+    runtime = HsaRuntime(
+        sim, device, allocator=KrispAllocator(ResourceMaskGenerator(TOPO)))
+    stream = Stream(runtime, name="s", rightsizer=lambda desc: 12)
+    return sim, device, stream
+
+
+def descriptor(name="k"):
+    return KernelDescriptor(name=name, workgroups=12, wg_duration=1e-4,
+                            occupancy=1, mem_intensity=0.0)
+
+
+def test_sized_kernels_on_a_native_stream_cost_two_events_each():
+    sim, device, stream = sized_stream()
+    n = 25
+
+    def worker():
+        for i in range(n):
+            stream.launch_kernel(descriptor(f"k{i}"))
+        yield stream.synchronize_signal()
+
+    Process(sim, worker(), name="w")
+    sim.run()
+    assert device.kernels_completed == n
+    # Per kernel: consume + mask generation + launch, then retirement.
+    # Fixed: the worker's first resume and its wake-up on the last signal.
+    assert sim.events_executed == 2 * n + 2
+
+
+def test_stream_completion_signal_is_the_kernel_record_done():
+    sim, device, stream = sized_stream(record_trace=True)
+    signals = [stream.launch_kernel(descriptor(f"k{i}")) for i in range(3)]
+    sim.run()
+    assert len(device.trace) == len(signals)
+    for signal, record in zip(signals, device.trace):
+        assert signal is record.done
+        assert signal.fired and signal.value is record
+
+
+def test_launches_on_one_queue_share_one_retire_hook():
+    sim = Simulator()
+    device = GpuDevice(sim, TOPO, exec_config=CFG, record_trace=True)
+    cp = CommandProcessor(sim, device)
+    queue = HsaQueue(TOPO, name="q")
+    cp.register_queue(queue)
+    queue.submit(kernel_packet("a"))
+    queue.submit(kernel_packet("b"))
+    sim.run()
+    first, second = device.trace
+    # Bound once per queue: a per-launch closure would be kept alive by
+    # the record/signal cycle while run() pauses the collector.
+    assert first.on_complete is not None
+    assert first.on_complete is second.on_complete
+
+
+def test_launch_rejects_an_already_fired_done_signal():
+    sim = Simulator()
+    device = GpuDevice(sim, TOPO, exec_config=CFG)
+    done = Signal(sim, "done")
+    done.fire(None)
+    with pytest.raises(ValueError, match="already fired"):
+        device.launch(KernelLaunch(descriptor()), CUMask.first_n(TOPO, 12),
+                      done=done)
+    assert device.running_count() == 0

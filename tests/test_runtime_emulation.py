@@ -96,9 +96,9 @@ def test_emulated_masks_are_applied_per_kernel():
     masks = []
     device_launch = device.launch
 
-    def spy(launch, mask, on_complete=None):
+    def spy(launch, mask, *args, **kwargs):
         masks.append(mask.count())
-        return device_launch(launch, mask, on_complete)
+        return device_launch(launch, mask, *args, **kwargs)
 
     device.launch = spy
     for i in range(3):

@@ -131,9 +131,7 @@ def test_cancel_after_execution_does_not_corrupt_the_counter():
 
 
 def test_compaction_drops_dead_entries_and_preserves_order():
-    # Heap internals: pin the queue so REPRO_SIM_QUEUE=calendar runs of
-    # the suite still exercise (and assert on) the binary heap.
-    sim = Simulator(queue="heap")
+    sim = Simulator()
     order = []
     events = []
     for i in range(Simulator.COMPACT_MIN + 200):
@@ -157,8 +155,7 @@ def test_compaction_drops_dead_entries_and_preserves_order():
 
 
 def test_small_heaps_are_never_compacted():
-    # Heap internals: pin the queue (see above).
-    sim = Simulator(queue="heap")
+    sim = Simulator()
     events = [sim.schedule(float(i + 1), lambda: None) for i in range(20)]
     for event in events:
         event.cancel()

@@ -1,14 +1,13 @@
-"""Property tests: the sim core's bit-identity contract, all axes at once.
+"""Property tests: the sim core's bit-identity contract.
 
-The engine offers three independent execution choices — event queue
-({heap, calendar}), rate recompute ({incremental, full}), and rate math
-({numpy, scalar}) — all documented as pure implementation details: any
-combination must drain the same events in the same order and produce the
-identical float sequence.  These tests drive randomly generated
-launch / retire / fault / time-advance programs (hypothesis-shrinkable,
-so a violation minimises to a small program) through every universe and
-require byte-identical completion order, per-step rate snapshots, and
-therefore an identical content hash of the whole run.
+The device's rate recompute ({incremental, full}) is a pure
+implementation detail: both modes must drain the same events in the same
+order and produce the identical float sequence.  These tests drive
+randomly generated launch / retire / fault / time-advance programs
+(hypothesis-shrinkable, so a violation minimises to a small program)
+through both modes and require byte-identical completion order, per-step
+rate snapshots, and therefore an identical content hash of the whole
+run.
 
 Alongside the random programs, pin tests freeze the equal-timestamp
 tie-break (priority, then schedule order) that the batching fast path
@@ -16,7 +15,6 @@ must preserve.
 """
 
 import hashlib
-import os
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -41,18 +39,8 @@ DESCRIPTORS = (
 
 _TOTAL_CUS = GpuTopology.mi50().total_cus
 
-#: The universes every program must agree across.  Scalar rates are
-#: exercised on both recompute modes but one queue (the queue cannot
-#: interact with the rate math; keeping the matrix at six universes
-#: keeps the suite's runtime in check).
-UNIVERSES = (
-    ("heap", "incremental", False),
-    ("heap", "full", False),
-    ("calendar", "incremental", False),
-    ("calendar", "full", False),
-    ("heap", "incremental", True),
-    ("heap", "full", True),
-)
+#: The recompute modes every program must agree across.
+UNIVERSES = ("incremental", "full")
 
 # -- program generation -------------------------------------------------------
 
@@ -85,18 +73,11 @@ _step = st.one_of(_launch, _launch, _advance, _advance,
 programs = st.lists(_step, min_size=30, max_size=200)
 
 
-def _drive(program, queue: str, recompute: str, scalar: bool):
-    """Replay ``program`` in one universe; return its observable record."""
-    saved = os.environ.get("REPRO_SCALAR_RATES")
-    os.environ["REPRO_SCALAR_RATES"] = "1" if scalar else "0"
-    try:
-        sim = Simulator(queue=queue)
-        device = GpuDevice(sim, recompute=recompute)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SCALAR_RATES", None)
-        else:
-            os.environ["REPRO_SCALAR_RATES"] = saved
+def _drive(program, recompute: str):
+    """Replay ``program`` in one recompute mode; return its observable
+    record."""
+    sim = Simulator()
+    device = GpuDevice(sim, recompute=recompute)
     topology = device.topology
     completions: list[tuple[str, float]] = []
     live = [0]
@@ -122,7 +103,6 @@ def _drive(program, queue: str, recompute: str, scalar: bool):
             device.set_fault_latency_scale(step[1], tag=step[2])
         else:
             device.add_fault_bandwidth_demand(step[1])
-        device.sync_progress()  # numpy mode: arrays are authoritative
         snapshots.append(tuple(
             (r.launch.descriptor.name, r.seq_no, r.eff_latency, r.progress)
             for r in sorted(device._running.values(),
@@ -144,44 +124,15 @@ def _drive(program, queue: str, recompute: str, scalar: bool):
 @settings(max_examples=12, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_random_programs_agree_across_all_universes(program):
-    reference = _drive(program, *UNIVERSES[0])
+    reference = _drive(program, UNIVERSES[0])
     for universe in UNIVERSES[1:]:
-        other = _drive(program, *universe)
+        other = _drive(program, universe)
         assert other["snapshots"] == reference["snapshots"], universe
         assert other["completions"] == reference["completions"], universe
         assert other["hash"] == reference["hash"], universe
-        # The queues must also agree on how events group into instants —
-        # batching is about *when* work drains, never what it computes.
+        # The modes must also agree on how events group into instants.
         assert other["events"] == reference["events"], universe
         assert other["batches"] == reference["batches"], universe
-
-
-# -- queue pop-order equivalence (engine level, no device) --------------------
-
-_schedules = st.lists(
-    st.tuples(st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
-              st.integers(-10, 10)),
-    min_size=1, max_size=120)
-
-
-@given(_schedules, st.sets(st.integers(0, 119)))
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_calendar_and_heap_pop_identical_orders(entries, cancel_indices):
-    orders: list[list[int]] = []
-    for queue in ("heap", "calendar"):
-        sim = Simulator(queue=queue)
-        order: list[int] = []
-        events = [
-            sim.schedule(time, lambda i=i: order.append(i),
-                         priority=priority)
-            for i, (time, priority) in enumerate(entries)
-        ]
-        for i in cancel_indices:
-            if i < len(events):
-                events[i].cancel()
-        sim.run()
-        orders.append(order)
-    assert orders[0] == orders[1]
 
 
 # -- equal-timestamp tie-break pin --------------------------------------------
@@ -190,41 +141,35 @@ def test_equal_timestamp_ties_drain_by_priority_then_schedule_order():
     """The documented tie-break — (priority, seq) — survives batching.
 
     Four events share one instant; the engine must drain them as a
-    single batch ordered by priority, then schedule order, regardless
-    of queue implementation.
+    single batch ordered by priority, then schedule order.
     """
-    for queue in ("heap", "calendar"):
-        sim = Simulator(queue=queue)
-        order: list[str] = []
-        sim.schedule(1.0, lambda: order.append("p0-first"), priority=0)
-        sim.schedule(1.0, lambda: order.append("p-10"), priority=-10)
-        sim.schedule(1.0, lambda: order.append("p0-second"), priority=0)
-        sim.schedule(1.0, lambda: order.append("p10"), priority=10)
-        sim.schedule(0.5, lambda: order.append("early"), priority=50)
-        sim.run()
-        assert order == [
-            "early", "p-10", "p0-first", "p0-second", "p10"], queue
-        assert sim.batches_drained == 2, queue
+    sim = Simulator()
+    order: list[str] = []
+    sim.schedule(1.0, lambda: order.append("p0-first"), priority=0)
+    sim.schedule(1.0, lambda: order.append("p-10"), priority=-10)
+    sim.schedule(1.0, lambda: order.append("p0-second"), priority=0)
+    sim.schedule(1.0, lambda: order.append("p10"), priority=10)
+    sim.schedule(0.5, lambda: order.append("early"), priority=50)
+    sim.run()
+    assert order == ["early", "p-10", "p0-first", "p0-second", "p10"]
+    assert sim.batches_drained == 2
 
 
 def test_same_instant_insertion_during_drain_stays_in_the_batch():
     """A callback scheduling work at the *current* instant must see it
     run at that instant (after already-pending same-time events of equal
-    priority — it drew a later seq), identically in both queues.
+    priority — it drew a later seq), in the same batch.
     """
-    results = []
-    for queue in ("heap", "calendar"):
-        sim = Simulator(queue=queue)
-        order: list[str] = []
+    sim = Simulator()
+    order: list[str] = []
 
-        def first():
-            order.append("first")
-            sim.schedule(sim.now, lambda: order.append("nested"))
+    def first():
+        order.append("first")
+        sim.schedule(sim.now, lambda: order.append("nested"))
 
-        sim.schedule(1.0, first)
-        sim.schedule(1.0, lambda: order.append("second"))
-        sim.run()
-        assert sim.now == 1.0
-        results.append((order, sim.batches_drained))
-    assert results[0] == results[1]
-    assert results[0][0] == ["first", "second", "nested"]
+    sim.schedule(1.0, first)
+    sim.schedule(1.0, lambda: order.append("second"))
+    sim.run()
+    assert sim.now == 1.0
+    assert order == ["first", "second", "nested"]
+    assert sim.batches_drained == 1
