@@ -24,7 +24,7 @@ os.environ.setdefault(
     "REPRO_CACHE_DIR", str(Path(__file__).resolve().parent.parent / ".cache")
 )
 
-from repro.exp.cache import cached_run_experiment  # noqa: E402
+from repro.exp.cells import cached_run_experiment  # noqa: E402
 from repro.exp.sweep import Sweep, run_sweep  # noqa: E402
 from repro.models.zoo import MODEL_NAMES  # noqa: E402
 from repro.server.experiment import (  # noqa: E402

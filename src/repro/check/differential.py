@@ -15,7 +15,7 @@ Each checker here replays one pinned scenario (from
     scenario cell plus a seed-perturbed sibling, cache off.
 ``cache``
     fresh computation vs a result round-tripped through a throwaway
-    :class:`~repro.exp.cache.ResultCache` (also exercising the atomic
+    :class:`~repro.exp.cache.ContentStore` (also exercising the atomic
     write path end to end).
 ``invariants``
     one audited run: the experiment's ``audit`` hook collects the
@@ -34,7 +34,8 @@ from typing import Any
 from repro.bench.runner import run_scenario
 from repro.bench.scenarios import SCENARIOS, Scenario
 from repro.check.invariants import request_conservation
-from repro.exp.cache import ResultCache, cached_run_experiment, result_hash
+from repro.exp.cache import ContentStore, result_hash
+from repro.exp.cells import cached_run_experiment
 from repro.exp.sweep import run_sweep
 from repro.server.experiment import run_experiment
 from repro.server.options import RunOptions
@@ -160,7 +161,7 @@ def check_cache_replay(name: str, allocation: str = "krisp",
     faults = _faults(scenario, config)
     root = Path(tempfile.mkdtemp(prefix="repro-check-cache-"))
     try:
-        store = ResultCache(root=root)
+        store = ContentStore(root=root)
         fresh = cached_run_experiment(
             config, cache=store, faults=faults,
             guard=scenario.guard)

@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator
 
 from repro.core.allocation import ResourceMaskGenerator
-from repro.exp.cache import ResultCache
+from repro.exp.cache import ContentStore
 from repro.gpu.counters import CUKernelCounters
 from repro.gpu.cu_mask import CUMask
 from repro.gpu.device import GpuDevice
@@ -120,21 +120,21 @@ def _skew_mask_shape() -> Iterator[None]:
 
 @contextmanager
 def _tamper_cached_result() -> Iterator[None]:
-    """Cache hits come back with a perturbed throughput float."""
-    original = ResultCache.get
+    """Closed-loop store hits come back with a perturbed throughput."""
+    original = ContentStore.get
 
-    def mutated(self, config, faults=None, guard=None):
-        result = original(self, config, faults=faults, guard=guard)
-        if result is None:
-            return None
+    def mutated(self, cell):
+        result = original(self, cell)
+        if result is None or cell.namespace != "results":
+            return result
         return dataclasses.replace(
             result, total_rps=result.total_rps + 1e-6)
 
-    ResultCache.get = mutated
+    ContentStore.get = mutated
     try:
         yield
     finally:
-        ResultCache.get = original
+        ContentStore.get = original
 
 
 @contextmanager

@@ -90,6 +90,15 @@ def _shared_parents() -> dict[str, argparse.ArgumentParser]:
             "duration": duration}
 
 
+def _grid_progress(done: int, total: int, outcome) -> None:
+    """The one stderr progress line of every grid command (``sweep``,
+    ``load``, ``chaos``, ``fleet``), fed by the cell executor."""
+    state = "hit" if outcome.hit else "miss" if outcome.ok else "FAILED"
+    print(f"\r[{done}/{total}] {outcome.cell.label:<40} {state:<6} "
+          f"{outcome.seconds:6.2f}s attempt {outcome.attempts}",
+          end="", file=sys.stderr, flush=True)
+
+
 def _cmd_profile(args: argparse.Namespace) -> int:
     model = get_model(args.model)
     sensitivity = profile_model(model, batch_size=args.batch,
@@ -181,17 +190,13 @@ def _cmd_load(args: argparse.Namespace) -> int:
                       else None),
             admission_depth=args.admission)
 
-    def progress(done: int, total: int, label: str) -> None:
-        print(f"\r[{done}/{total}] {label:<32}", end="", file=sys.stderr,
-              flush=True)
-
     jobs = args.jobs if args.jobs is not None else default_jobs()
     report = run_load_curve(
         config, spec,
         rates=tuple(args.rates) if args.rates else None,
         scales=tuple(args.scales),
         duration=args.duration, options=RunOptions(guard=guard), jobs=jobs,
-        use_cache=not args.no_cache, progress=progress,
+        use_cache=not args.no_cache, progress=_grid_progress,
         attribute=args.attribute)
     print(file=sys.stderr)
 
@@ -259,23 +264,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         models, tuple(args.policies), tuple(args.workers),
         batch_size=args.batch)
     jobs = args.jobs if args.jobs is not None else default_jobs()
-
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    hits = registry.counter("sweep_cache_hits_total")
-    misses = registry.counter("sweep_cache_misses_total")
-    last_cell = registry.gauge("sweep_last_cell_seconds")
-
-    def progress(done: int, total: int, label: str) -> None:
-        print(f"\r[{done}/{total}] {label:<48} "
-              f"cache {int(hits.value)}H/{int(misses.value)}M "
-              f"last {last_cell.value:.1f}s",
-              end="", file=sys.stderr, flush=True)
-
     report = run_sweep(sweep, jobs=jobs, cache=not args.no_cache,
-                       retries=args.retries, progress=progress,
-                       options=RunOptions(metrics=registry))
+                       retries=args.retries, progress=_grid_progress)
     print(file=sys.stderr)
 
     rows = []
@@ -380,16 +370,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     scenarios = tuple(args.scenarios) if args.scenarios \
         else CHAOS_SCENARIOS
 
-    def progress(done: int, total: int, label: str) -> None:
-        print(f"\r[{done}/{total}] {label:<40}", end="", file=sys.stderr,
-              flush=True)
-
     jobs = args.jobs if args.jobs is not None else default_jobs()
     report = run_chaos(
         names, tuple(args.policies), scenarios,
         batch_size=args.batch, seed=args.seed,
         requests_scale=args.scale, emulated=args.emulated,
-        use_cache=not args.no_cache, jobs=jobs, progress=progress,
+        use_cache=not args.no_cache, jobs=jobs, progress=_grid_progress,
         allocation=args.allocation, sizing=args.sizing,
     )
     print(file=sys.stderr)
@@ -838,10 +824,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.rates:
         scales = tuple(rate / native for rate in args.rates)
 
-    def progress(done: int, total: int) -> None:
-        print(f"\r[{done}/{total}] fleet cells", end="", file=sys.stderr,
-              flush=True)
-
     jobs = args.jobs if args.jobs is not None else default_jobs()
     report = run_fleet(
         base, spec,
@@ -851,7 +833,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         duration=args.duration,
         autoscaler=None if args.no_autoscaler else AutoscalerConfig(),
         faults=faults, guard=guard,
-        jobs=jobs, use_cache=not args.no_cache, progress=progress)
+        jobs=jobs, use_cache=not args.no_cache, progress=_grid_progress)
     print(file=sys.stderr)
 
     print(report.to_text())

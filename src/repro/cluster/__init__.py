@@ -20,13 +20,11 @@ from repro.cluster.config import (
     ClusterConfig,
 )
 from repro.cluster.experiment import (
+    ClusterCell,
     ClusterResult,
-    ClusterResultCache,
     NodeStats,
-    cached_run_cluster_experiment,
     cluster_cache_key,
     cluster_result_hash,
-    default_cluster_cache,
     run_cluster_experiment,
 )
 from repro.cluster.faults import ClusterFaultDriver
@@ -36,11 +34,11 @@ from repro.cluster.setup import ClusterNode, ClusterSetup, PoolSlot
 
 __all__ = [
     "AutoscalerConfig",
+    "ClusterCell",
     "ClusterConfig",
     "ClusterFaultDriver",
     "ClusterNode",
     "ClusterResult",
-    "ClusterResultCache",
     "ClusterRouter",
     "ClusterSetup",
     "FleetCell",
@@ -51,10 +49,8 @@ __all__ = [
     "PoolSlot",
     "ROUTER_POLICIES",
     "ScaleEvent",
-    "cached_run_cluster_experiment",
     "cluster_cache_key",
     "cluster_result_hash",
-    "default_cluster_cache",
     "run_cluster_experiment",
     "run_fleet",
 ]

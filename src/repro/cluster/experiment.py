@@ -14,9 +14,10 @@ the fleet generalisation of :mod:`repro.check.invariants`).
 It is an *options-first* API: harness knobs arrive in one
 :class:`~repro.server.options.RunOptions` (there are no legacy keyword
 shims to deprecate — the fleet surface was born after the
-consolidation).  Results are cached content-addressed under
-``<cache>/cluster/`` via :func:`cluster_cache_key`, which folds the
-cluster topology and autoscaler config into the open-loop key
+consolidation).  A :class:`ClusterCell` is one fleet run as a grid
+cell, cached content-addressed under ``<cache>/cluster/`` via
+:func:`cluster_cache_key`, which folds the cluster topology and
+autoscaler config into the open-loop key
 :func:`~repro.exp.cache.rate_cache_key` **only-when-given** — so every
 pre-existing single-device cache entry is untouched by the fleet layer.
 """
@@ -28,7 +29,6 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Optional
 
 from repro.cluster.autoscaler import PoolAutoscaler, ScaleEvent
@@ -36,28 +36,18 @@ from repro.cluster.config import AutoscalerConfig, ClusterConfig
 from repro.cluster.faults import ClusterFaultDriver
 from repro.cluster.router import ClusterRouter, FleetClient
 from repro.cluster.setup import ClusterSetup
-from repro.exp.cache import (
-    CacheStats,
-    _atomic_write_text,
-    cache_root,
-    fingerprint,
-    locate_entry,
-    rate_cache_key,
-    sharded_entry_path,
-)
+from repro.exp.cache import rate_cache_key
 from repro.server.metrics import LatencyStats
 from repro.server.options import RunOptions, reject_unsupported
 from repro.workload.spec import WorkloadSpec
 
 __all__ = [
+    "ClusterCell",
     "ClusterResult",
-    "ClusterResultCache",
     "DEFAULT_FLEET_DURATION",
     "NodeStats",
-    "cached_run_cluster_experiment",
     "cluster_cache_key",
     "cluster_result_hash",
-    "default_cluster_cache",
     "run_cluster_experiment",
 ]
 
@@ -310,108 +300,50 @@ def cluster_cache_key(config: ClusterConfig, offered_rps: float,
         cluster=cluster_payload)
 
 
-class ClusterResultCache:
-    """Content-addressed store of fleet results under ``<root>/cluster/``."""
+@dataclass(frozen=True)
+class ClusterCell:
+    """One fleet run as a grid cell (store namespace ``cluster``):
+    ``config`` driven by ``workload``, already at the cell's rate."""
 
-    def __init__(self, root: Optional[Path] = None) -> None:
-        self._root = root
-        self.stats = CacheStats()
+    config: ClusterConfig
+    workload: WorkloadSpec
+    duration: float = DEFAULT_FLEET_DURATION
+    autoscaler: Optional[AutoscalerConfig] = AutoscalerConfig()
+    faults: Any = None
+    guard: Any = None
 
-    def root(self) -> Path:
-        return self._root if self._root is not None else cache_root()
+    namespace = "cluster"
 
-    def path_for(self, key: str) -> Path:
-        return sharded_entry_path(self.root() / "cluster", key)
+    @property
+    def label(self) -> str:
+        return (f"{self.config.devices}x/{self.config.router}/"
+                f"{self.workload.offered_rps():g}")
 
-    def get(self, key: str) -> Optional[ClusterResult]:
-        path = locate_entry(self.root() / "cluster", key)
-        try:
-            raw = path.read_text()
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except OSError:
-            self.stats.misses += 1
-            self.stats.invalidations += 1
-            return None
-        try:
-            payload = json.loads(raw)
-            if not isinstance(payload, dict):
-                raise ValueError("cache entry is not an object")
-            result = ClusterResult.from_dict(payload["result"])
-        except (ValueError, KeyError, TypeError):
-            self.stats.misses += 1
-            self.stats.invalidations += 1
-            logger.warning("discarding corrupt cluster cache entry %s", path)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.stats.hits += 1
-        return result
+    def key(self) -> str:
+        return cluster_cache_key(
+            self.config, self.workload.offered_rps(), self.duration,
+            workload=self.workload, autoscaler=self.autoscaler,
+            faults=self.faults, guard=self.guard)
 
-    def put(self, key: str, result: ClusterResult,
-            context: Optional[dict[str, Any]] = None) -> None:
+    def run(self) -> ClusterResult:
+        return run_cluster_experiment(
+            self.config, self.workload, duration=self.duration,
+            autoscaler=self.autoscaler,
+            options=RunOptions(faults=self.faults, guard=self.guard))
+
+    def encode(self, result: ClusterResult) -> dict[str, Any]:
         payload: dict[str, Any] = {
-            "constants": fingerprint(),
+            "cluster": self.config.to_dict(),
+            "offered_rps": self.workload.offered_rps(),
+            "duration": self.duration,
+            "workload": self.workload.to_dict(),
             "result": result.to_dict(),
         }
-        if context:
-            payload.update(context)
-        try:
-            _atomic_write_text(
-                self.path_for(key),
-                json.dumps(payload, indent=2, sort_keys=True))
-            self.stats.stores += 1
-        except OSError:
-            pass
+        for name in ("autoscaler", "faults", "guard"):
+            value = getattr(self, name)
+            if value is not None:
+                payload[name] = value.to_dict()
+        return payload
 
-
-_DEFAULT_CLUSTER_CACHE = ClusterResultCache()
-
-
-def default_cluster_cache() -> ClusterResultCache:
-    """The process-wide fleet cache (follows ``REPRO_CACHE_DIR``)."""
-    return _DEFAULT_CLUSTER_CACHE
-
-
-def cached_run_cluster_experiment(
-    config: ClusterConfig,
-    workload: WorkloadSpec,
-    *,
-    offered_rps: Optional[float] = None,
-    duration: Optional[float] = None,
-    autoscaler: Optional[AutoscalerConfig] = AutoscalerConfig(),
-    faults=None,
-    guard=None,
-    cache: Optional[ClusterResultCache] = None,
-) -> ClusterResult:
-    """:func:`run_cluster_experiment` through the fleet cache."""
-    if duration is None:
-        duration = DEFAULT_FLEET_DURATION
-    spec = workload if offered_rps is None else workload.at_rate(offered_rps)
-    offered = spec.offered_rps()
-    store = cache if cache is not None else default_cluster_cache()
-    key = cluster_cache_key(config, offered, duration, workload=spec,
-                            autoscaler=autoscaler, faults=faults,
-                            guard=guard)
-    result = store.get(key)
-    if result is None:
-        result = run_cluster_experiment(
-            config, spec, duration=duration, autoscaler=autoscaler,
-            options=RunOptions(faults=faults, guard=guard))
-        context: dict[str, Any] = {
-            "cluster": config.to_dict(),
-            "offered_rps": offered,
-            "duration": duration,
-            "workload": spec.to_dict(),
-        }
-        if autoscaler is not None:
-            context["autoscaler"] = autoscaler.to_dict()
-        if faults is not None:
-            context["faults"] = faults.to_dict()
-        if guard is not None:
-            context["guard"] = guard.to_dict()
-        store.put(key, result, context=context)
-    return result
+    def decode(self, payload: dict[str, Any]) -> ClusterResult:
+        return ClusterResult.from_dict(payload["result"])

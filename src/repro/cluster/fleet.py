@@ -3,30 +3,29 @@
 :func:`run_fleet` sweeps :func:`~repro.cluster.experiment
 .run_cluster_experiment` over a grid of fleet sizes, router policies,
 and offered rates, producing a :class:`FleetReport` with one row per
-cell plus a per-(devices, policy) capacity knee.  Cells are pure
-functions of their inputs, so the grid parallelises across a process
-pool exactly like :func:`~repro.exp.sweep.run_sweep` — serial and
-pooled execution assemble bit-identical reports — and caches through
-the content-addressed cluster store.
+cell plus a per-(devices, policy) capacity knee.  Each cell is a
+:class:`~repro.cluster.experiment.ClusterCell`, a pure function of its
+inputs, run by the same executor as :func:`~repro.exp.sweep.run_sweep`
+(:func:`~repro.exp.cells.run_cells`) — serial and pooled execution
+assemble bit-identical reports — and cached under the content store's
+``cluster/`` namespace.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.cluster.config import AutoscalerConfig, ClusterConfig
 from repro.cluster.experiment import (
+    DEFAULT_FLEET_DURATION,
+    ClusterCell,
     ClusterResult,
-    ClusterResultCache,
-    cached_run_cluster_experiment,
-    default_cluster_cache,
-    run_cluster_experiment,
 )
-from repro.server.options import RunOptions
-from repro.workload.spec import WorkloadSpec, workload_from_dict
+from repro.exp.cache import ContentStore, default_cache
+from repro.exp.cells import ProgressFn, results_or_raise, run_cells
+from repro.workload.spec import WorkloadSpec
 
 __all__ = ["DEFAULT_FLEET_SCALES", "FleetCell", "FleetReport", "run_fleet"]
 
@@ -156,41 +155,6 @@ class FleetReport:
         return "\n".join(lines)
 
 
-def _run_cell(base_payload: dict, workload_payload: dict, devices: int,
-              router: str, offered_rps: float, duration: float,
-              autoscaler_payload: Optional[dict],
-              faults_payload: Optional[dict],
-              guard_payload: Optional[dict], use_cache: bool):
-    """One pooled fleet cell; exceptions cross the pool as strings."""
-    try:
-        from repro.faults.schedule import FaultSchedule
-        from repro.server.slo import SloGuard
-
-        base = ClusterConfig.from_dict(base_payload)
-        config = ClusterConfig.from_dict(
-            {**base.to_dict(), "devices": devices, "router": router})
-        workload = workload_from_dict(workload_payload)
-        autoscaler = (AutoscalerConfig.from_dict(autoscaler_payload)
-                      if autoscaler_payload is not None else None)
-        faults = (FaultSchedule.from_dict(faults_payload)
-                  if faults_payload is not None else None)
-        guard = (SloGuard.from_dict(guard_payload)
-                 if guard_payload is not None else None)
-        if use_cache:
-            result = cached_run_cluster_experiment(
-                config, workload, offered_rps=offered_rps,
-                duration=duration, autoscaler=autoscaler,
-                faults=faults, guard=guard)
-        else:
-            result = run_cluster_experiment(
-                config, workload.at_rate(offered_rps), duration=duration,
-                autoscaler=autoscaler,
-                options=RunOptions(faults=faults, guard=guard))
-        return devices, router, offered_rps, result, None
-    except Exception as exc:  # noqa: BLE001 - report, don't hang the pool
-        return devices, router, offered_rps, None, f"{type(exc).__name__}: {exc}"
-
-
 def run_fleet(
     base: ClusterConfig,
     workload: WorkloadSpec,
@@ -204,8 +168,8 @@ def run_fleet(
     guard=None,
     jobs: int = 1,
     use_cache: bool = True,
-    cache: Optional[ClusterResultCache] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
+    cache: Optional[ContentStore] = None,
+    progress: Optional[ProgressFn] = None,
 ) -> FleetReport:
     """Sweep the fleet grid; deterministic across ``jobs`` settings.
 
@@ -213,71 +177,29 @@ def run_fleet(
     to compare policies.  Rates are ``scales`` multiples of the spec's
     native offered rate.  ``faults`` (NodeCrash-only) and ``guard``
     apply to every cell.  Grid order (devices-major, router, then rate)
-    is the report's cell order regardless of pool scheduling.
+    is the report's cell order regardless of pool scheduling.  Store
+    reads and writes happen in this process, so ``cache`` sees every
+    cell whatever ``jobs`` is; a failed cell raises ``RuntimeError``.
     """
-    from repro.cluster.experiment import DEFAULT_FLEET_DURATION
-
     if duration is None:
         duration = DEFAULT_FLEET_DURATION
     policies = routers if routers is not None else (base.router,)
     native = workload.offered_rps()
     grid = [(d, p, native * s)
             for d in devices for p in policies for s in scales]
-    store = cache if cache is not None else default_cluster_cache()
-    hits_before = store.stats.hits if use_cache else 0
-
-    results: dict[tuple[int, str, float], ClusterResult] = {}
-    done = 0
-    if progress:
-        progress(0, len(grid))
-
-    def record(key, result, error):
-        nonlocal done
-        if error is not None:
-            raise RuntimeError(f"fleet cell {key} failed: {error}")
-        results[key] = result
-        done += 1
-        if progress:
-            progress(done, len(grid))
-
     base_payload = base.to_dict()
-    workload_payload = workload.to_dict()
-    autoscaler_payload = autoscaler.to_dict() if autoscaler is not None \
-        else None
-    faults_payload = faults.to_dict() if faults is not None else None
-    guard_payload = guard.to_dict() if guard is not None else None
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_cell, base_payload, workload_payload,
-                            d, p, rate, duration, autoscaler_payload,
-                            faults_payload, guard_payload, use_cache)
-                for d, p, rate in grid
-            ]
-            for future in futures:
-                d, p, rate, result, error = future.result()
-                record((d, p, rate), result, error)
-    else:
-        for d, p, rate in grid:
-            config = ClusterConfig.from_dict(
-                {**base_payload, "devices": d, "router": p})
-            if use_cache:
-                result = cached_run_cluster_experiment(
-                    config, workload, offered_rps=rate, duration=duration,
-                    autoscaler=autoscaler, faults=faults, guard=guard,
-                    cache=store)
-            else:
-                result = run_cluster_experiment(
-                    config, workload.at_rate(rate), duration=duration,
-                    autoscaler=autoscaler,
-                    options=RunOptions(faults=faults, guard=guard))
-            record((d, p, rate), result, None)
-
-    cells = tuple(FleetCell(devices=d, router=p, offered_rps=rate,
-                            result=results[(d, p, rate)])
-                  for d, p, rate in grid)
-    # Pool workers hit/store the on-disk cache in their own processes, so
-    # the parent's counter only reflects serial runs — report it as-is.
-    hits = (store.stats.hits - hits_before) if use_cache else 0
-    return FleetReport(base=base, workload=workload, duration=duration,
-                       autoscaler=autoscaler, cells=cells, cache_hits=hits)
+    cells = [ClusterCell(
+        ClusterConfig.from_dict({**base_payload, "devices": d, "router": p}),
+        workload.at_rate(rate), duration, autoscaler, faults, guard)
+        for d, p, rate in grid]
+    store = (cache if cache is not None else default_cache()) \
+        if use_cache else None
+    outcomes = run_cells(cells, jobs, store, progress=progress)
+    results = results_or_raise(outcomes)
+    return FleetReport(
+        base=base, workload=workload, duration=duration,
+        autoscaler=autoscaler,
+        cells=tuple(FleetCell(devices=d, router=p, offered_rps=rate,
+                              result=result)
+                    for (d, p, rate), result in zip(grid, results)),
+        cache_hits=sum(o.hit for o in outcomes))

@@ -1,39 +1,49 @@
-"""Sweep orchestration: parallel experiment grids with result caching.
+"""Grid orchestration: one cell executor and one content store.
 
 The evaluation grids of the paper (Fig. 13's policies x workers x models,
-Fig. 15's 28 model pairs, Fig. 16's overlap-limit sweep) are
-embarrassingly parallel: every :class:`~repro.server.experiment
-.ExperimentConfig` cell is frozen, hashable, and seed-deterministic.
-This package exploits that shape twice over:
+Fig. 15's 28 model pairs, Fig. 16's overlap-limit sweep) and the
+harness's own grids (load curves, chaos, fleets) are embarrassingly
+parallel: every cell is frozen and seed-deterministic.  This package
+exploits that shape once, for every grid:
 
-* :mod:`repro.exp.cache` — a content-addressed on-disk result store, so
-  a cell computed once is never recomputed until the configuration, the
-  timing-model constants, or the repro version changes;
-* :mod:`repro.exp.sweep` — a grid builder plus :func:`run_sweep`, which
-  fans independent cells out over a process pool with per-cell
-  retry-on-failure and a structured report;
+* :mod:`repro.exp.cache` — the content-addressed on-disk
+  :class:`ContentStore` (``results/``, ``rate/`` and ``cluster/``
+  namespaces), so a cell computed once is never recomputed until the
+  configuration, the timing-model constants, or the repro version
+  changes;
+* :mod:`repro.exp.cells` — the :class:`Cell` protocol and
+  :func:`run_cells`, which does the store lookups and writes, fans the
+  misses out over a process pool, and retries and reports failures;
+* :mod:`repro.exp.sweep` — a grid builder plus :func:`run_sweep` over
+  closed-loop cells, with a structured report;
 * :mod:`repro.exp.chaos` — policy × fault-scenario resilience grids
   scored against each policy's fault-free baseline;
 * :mod:`repro.exp.load` — latency-vs-offered-rate curves over
-  :mod:`repro.workload` specs, cached point-by-point through the rate
-  store.
+  :mod:`repro.workload` specs, one rate cell per point.
+
+The fleet grid (:func:`repro.cluster.run_fleet`) runs
+:class:`~repro.cluster.ClusterCell` cells through the same executor.
 """
 
 from repro.exp.cache import (
     CacheStats,
+    ContentStore,
     JsonStore,
-    RateResultCache,
-    ResultCache,
     cache_key,
-    cached_run_experiment,
-    cached_run_rate_experiment,
     default_cache,
-    default_rate_cache,
     fingerprint,
     rate_cache_key,
     rate_result_from_dict,
     rate_result_hash,
     rate_result_to_dict,
+)
+from repro.exp.cells import (
+    Cell,
+    CellOutcome,
+    ExperimentCell,
+    RateCell,
+    cached_run_experiment,
+    run_cells,
 )
 from repro.exp.chaos import (
     CHAOS_SCENARIOS,
@@ -58,19 +68,21 @@ from repro.exp.sweep import (
 
 __all__ = [
     "CacheStats",
+    "ContentStore",
     "JsonStore",
-    "RateResultCache",
-    "ResultCache",
     "cache_key",
-    "cached_run_experiment",
-    "cached_run_rate_experiment",
     "default_cache",
-    "default_rate_cache",
     "fingerprint",
     "rate_cache_key",
     "rate_result_from_dict",
     "rate_result_hash",
     "rate_result_to_dict",
+    "Cell",
+    "CellOutcome",
+    "ExperimentCell",
+    "RateCell",
+    "cached_run_experiment",
+    "run_cells",
     "DEFAULT_SCALES",
     "LoadCurveReport",
     "LoadPoint",

@@ -1,20 +1,22 @@
-"""Content-addressed on-disk cache for experiment results.
+"""The content-addressed result store shared by every grid.
 
-Every :class:`~repro.server.experiment.ExperimentConfig` is a frozen,
-seed-deterministic description of one evaluation cell, so its result is a
-pure function of (config, timing-model constants, repro version).  The
-cache keys on a stable SHA-256 digest of exactly that triple: change any
-config field, any :class:`~repro.gpu.exec_model.ExecutionModelConfig`
-default, the device topology, or the package version, and the key — and
-therefore the cache entry — changes with it.  Stale results can never be
-served across a model change.
+Every grid cell — a closed-loop :class:`~repro.server.experiment
+.ExperimentConfig`, an open-loop rate point, a fleet cell — is a frozen,
+seed-deterministic description of one run, so its result is a pure
+function of (cell, timing-model constants, repro version).  Keys are a
+stable SHA-256 digest of exactly that triple (:func:`cache_key`,
+:func:`rate_cache_key`, :func:`~repro.cluster.experiment
+.cluster_cache_key`): change any config field, any
+:class:`~repro.gpu.exec_model.ExecutionModelConfig` default, the device
+topology, or the package version, and the key changes with it.  Stale
+results can never be served across a model change.
 
-Corrupt or truncated cache files are *misses*, never crashes: they are
-counted in :class:`CacheStats` and logged, then recomputed.  All writes
-are best-effort (a read-only cache directory degrades to no caching)
-and *atomic* — published via a same-directory temp file and
-``os.replace`` — so concurrent sweep workers racing on one key can
-never leave an interleaved or half-written file behind.
+:class:`ContentStore` keeps one file per cell under the cell's namespace
+(``results/``, ``rate/``, ``cluster/``).  Corrupt or truncated files are
+*misses*, never crashes: they are counted in :class:`CacheStats`,
+logged, evicted, and recomputed.  All writes are best-effort (a
+read-only cache directory degrades to no caching) and *atomic* —
+published via a same-directory temp file and ``os.replace``.
 
 Entries live in 256 two-hex-prefix shard subdirectories (keys are
 uniform SHA-256 hex) so big sweeps never degrade into one flat directory
@@ -46,22 +48,16 @@ from repro.server.experiment import (
     ExperimentConfig,
     ExperimentResult,
     WorkerResult,
-    run_experiment,
 )
 from repro.server.metrics import LatencyStats
-from repro.server.options import RunOptions
 from repro.server.slo import ResilienceStats, SloGuard
 
 __all__ = [
     "CacheStats",
+    "ContentStore",
     "JsonStore",
-    "RateResultCache",
-    "ResultCache",
     "cache_key",
-    "cached_run_experiment",
-    "cached_run_rate_experiment",
     "default_cache",
-    "default_rate_cache",
     "fingerprint",
     "locate_entry",
     "rate_cache_key",
@@ -380,8 +376,17 @@ class JsonStore:
             pass  # caching is best-effort; computation still works
 
 
-class ResultCache:
-    """Content-addressed store of experiment results, one file per cell."""
+class ContentStore:
+    """Content-addressed store of grid-cell results, one file per cell.
+
+    A cell (:class:`~repro.exp.cells.Cell`) names its namespace —
+    ``results/`` (closed loop), ``rate/`` (open loop) or ``cluster/``
+    (fleet) — and its key, and encodes/decodes its own payload; the
+    store owns the layout, the stats, and the failure policy.  Any
+    unreadable, corrupt, or mismatched entry (a closed-loop entry whose
+    stored config differs from the cell's) is a counted miss and is
+    evicted so the recomputed result can take its place.
+    """
 
     def __init__(self, root: Optional[Path] = None) -> None:
         """``root=None`` re-reads ``REPRO_CACHE_DIR`` on every access, so
@@ -392,17 +397,13 @@ class ResultCache:
     def root(self) -> Path:
         return self._root if self._root is not None else cache_root()
 
-    def path_for(self, config: ExperimentConfig, faults=None,
-                 guard: Optional[SloGuard] = None) -> Path:
-        """Canonical (sharded) location of one cell's cached result."""
-        key = cache_key(config, faults=faults, guard=guard)
-        return sharded_entry_path(self.root() / "results", key)
+    def path_for(self, cell) -> Path:
+        """Canonical (sharded) location of ``cell``'s entry."""
+        return sharded_entry_path(self.root() / cell.namespace, cell.key())
 
-    def get(self, config: ExperimentConfig, faults=None,
-            guard: Optional[SloGuard] = None) -> Optional[ExperimentResult]:
-        """Cached result for ``config``, or ``None`` on any kind of miss."""
-        key = cache_key(config, faults=faults, guard=guard)
-        path = locate_entry(self.root() / "results", key)
+    def get(self, cell) -> Any:
+        """Cached result of ``cell``, or ``None`` on any kind of miss."""
+        path = locate_entry(self.root() / cell.namespace, cell.key())
         try:
             raw = path.read_text()
         except FileNotFoundError:
@@ -416,13 +417,12 @@ class ResultCache:
             payload = json.loads(raw)
             if not isinstance(payload, dict):
                 raise ValueError("cache entry is not an object")
-            if payload.get("config") != config_to_dict(config):
-                raise ValueError("cache entry config mismatch")
-            result = result_from_dict(payload["result"])
+            result = cell.decode(payload)
         except (ValueError, KeyError, TypeError):
             self.stats.misses += 1
             self.stats.invalidations += 1
-            logger.warning("discarding corrupt result cache entry %s", path)
+            logger.warning("discarding corrupt %s cache entry %s",
+                           cell.namespace, path)
             try:
                 path.unlink()
             except OSError:
@@ -431,22 +431,12 @@ class ResultCache:
         self.stats.hits += 1
         return result
 
-    def put(self, config: ExperimentConfig, result: ExperimentResult,
-            faults=None, guard: Optional[SloGuard] = None) -> None:
-        """Best-effort store of one cell's result."""
-        path = self.path_for(config, faults=faults, guard=guard)
-        payload = {
-            "constants": fingerprint(),
-            "config": config_to_dict(config),
-            "result": result_to_dict(result),
-        }
-        if faults is not None:
-            payload["faults"] = faults.to_dict()
-        if guard is not None:
-            payload["guard"] = guard.to_dict()
+    def put(self, cell, result) -> None:
+        """Best-effort store of ``cell``'s result (atomic publish)."""
+        payload = {"constants": fingerprint(), **cell.encode(result)}
         try:
-            _atomic_write_text(
-                path, json.dumps(payload, indent=2, sort_keys=True))
+            _atomic_write_text(self.path_for(cell),
+                               json.dumps(payload, indent=2, sort_keys=True))
             self.stats.stores += 1
         except OSError:
             pass
@@ -524,149 +514,9 @@ def rate_result_hash(result) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-class RateResultCache:
-    """Content-addressed store of open-loop results, one file per run,
-    under ``<root>/rate/`` (disjoint from the closed-loop store)."""
-
-    def __init__(self, root: Optional[Path] = None) -> None:
-        self._root = root
-        self.stats = CacheStats()
-
-    def root(self) -> Path:
-        return self._root if self._root is not None else cache_root()
-
-    def path_for(self, key: str) -> Path:
-        return sharded_entry_path(self.root() / "rate", key)
-
-    def get(self, key: str):
-        """Cached result under ``key``, or ``None`` on any miss."""
-        path = locate_entry(self.root() / "rate", key)
-        try:
-            raw = path.read_text()
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except OSError:
-            self.stats.misses += 1
-            self.stats.invalidations += 1
-            return None
-        try:
-            payload = json.loads(raw)
-            if not isinstance(payload, dict):
-                raise ValueError("cache entry is not an object")
-            result = rate_result_from_dict(payload["result"])
-        except (ValueError, KeyError, TypeError):
-            self.stats.misses += 1
-            self.stats.invalidations += 1
-            logger.warning("discarding corrupt rate cache entry %s", path)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.stats.hits += 1
-        return result
-
-    def put(self, key: str, result,
-            context: Optional[dict[str, Any]] = None) -> None:
-        """Best-effort store; ``context`` records the keyed inputs for
-        humans inspecting the file (it is not re-validated on read —
-        the key is already a content hash of those inputs)."""
-        payload: dict[str, Any] = {
-            "constants": fingerprint(),
-            "result": rate_result_to_dict(result),
-        }
-        if context:
-            payload.update(context)
-        try:
-            _atomic_write_text(
-                self.path_for(key),
-                json.dumps(payload, indent=2, sort_keys=True))
-            self.stats.stores += 1
-        except OSError:
-            pass
+_DEFAULT_STORE = ContentStore()
 
 
-_DEFAULT_RATE_CACHE = RateResultCache()
-
-
-def default_rate_cache() -> RateResultCache:
-    """The process-wide rate-result cache (follows ``REPRO_CACHE_DIR``)."""
-    return _DEFAULT_RATE_CACHE
-
-
-def cached_run_rate_experiment(
-    config: ExperimentConfig,
-    offered_rps: Optional[float] = None,
-    duration: Optional[float] = None,
-    *,
-    workload=None,
-    faults=None,
-    guard: Optional[SloGuard] = None,
-    cache: Optional[RateResultCache] = None,
-):
-    """:func:`~repro.server.rate_experiment.run_rate_experiment`
-    through the rate-result cache.
-
-    The key pins the resolved offered rate and duration plus — only
-    when given — the workload spec, fault schedule, and guard, so two
-    distinct specs can never alias one cache entry.
-    """
-    from repro.server.rate_experiment import (
-        default_rate_duration, run_rate_experiment)
-
-    if workload is not None and offered_rps is None:
-        offered_rps = workload.offered_rps()
-    if offered_rps is None or offered_rps <= 0:
-        raise ValueError("offered_rps must be > 0")
-    if duration is None:
-        duration = default_rate_duration(config)
-    store = cache if cache is not None else default_rate_cache()
-    key = rate_cache_key(config, offered_rps, duration,
-                         workload=workload, faults=faults, guard=guard)
-    result = store.get(key)
-    if result is None:
-        result = run_rate_experiment(
-            config, offered_rps, duration,
-            RunOptions(workload=workload, faults=faults, guard=guard))
-        context: dict[str, Any] = {
-            "config": config_to_dict(config),
-            "offered_rps": offered_rps,
-            "duration": duration,
-        }
-        if workload is not None:
-            context["workload"] = workload.to_dict()
-        if faults is not None:
-            context["faults"] = faults.to_dict()
-        if guard is not None:
-            context["guard"] = guard.to_dict()
-        store.put(key, result, context=context)
-    return result
-
-
-_DEFAULT_CACHE = ResultCache()
-
-
-def default_cache() -> ResultCache:
-    """The process-wide result cache (root follows ``REPRO_CACHE_DIR``)."""
-    return _DEFAULT_CACHE
-
-
-def cached_run_experiment(
-    config: ExperimentConfig,
-    cache: Optional[ResultCache] = None,
-    faults=None,
-    guard: Optional[SloGuard] = None,
-) -> ExperimentResult:
-    """:func:`~repro.server.experiment.run_experiment` through the cache.
-
-    ``faults``/``guard`` select the fault-injected variant of the cell;
-    its key (and file) is disjoint from the fault-free one.
-    """
-    store = cache if cache is not None else default_cache()
-    result = store.get(config, faults=faults, guard=guard)
-    if result is None:
-        result = run_experiment(
-            config, RunOptions(faults=faults, guard=guard))
-        store.put(config, result, faults=faults, guard=guard)
-    return result
+def default_cache() -> ContentStore:
+    """The process-wide result store (root follows ``REPRO_CACHE_DIR``)."""
+    return _DEFAULT_STORE

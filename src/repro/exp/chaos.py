@@ -18,7 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.exp.cache import ResultCache, cached_run_experiment, default_cache
+from repro.exp.cache import ContentStore, default_cache
+from repro.exp.cells import (
+    ExperimentCell,
+    ProgressFn,
+    results_or_raise,
+    run_cells,
+)
 from repro.faults.schedule import (
     BandwidthSpike,
     FaultSchedule,
@@ -187,21 +193,6 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _chaos_cell(config: ExperimentConfig, scenario: Optional[str],
-                guard: Optional[SloGuard], store: Optional[ResultCache]):
-    """One grid cell (``scenario=None`` = the policy's fault-free
-    baseline); also the process-pool worker, so runs are pure functions
-    of their arguments and pooled execution is bit-identical to serial."""
-    from repro.server.experiment import run_experiment
-    from repro.server.options import RunOptions
-
-    faults = build_scenario(scenario, config) if scenario else None
-    if store is not None:
-        return cached_run_experiment(config, store, faults=faults,
-                                     guard=guard)
-    return run_experiment(config, RunOptions(faults=faults, guard=guard))
-
-
 def run_chaos(
     model_names: Sequence[str],
     policies: Sequence[str],
@@ -212,10 +203,10 @@ def run_chaos(
     requests_scale: float = 1.0,
     emulated: bool = False,
     guard: Optional[SloGuard] = None,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[ContentStore] = None,
     use_cache: bool = True,
     jobs: int = 1,
-    progress=None,
+    progress: Optional[ProgressFn] = None,
     allocation: str = "krisp",
     sizing: str = "static",
 ) -> ChaosReport:
@@ -223,11 +214,12 @@ def run_chaos(
 
     Every cell (including each policy's fault-free baseline) runs with
     the same :class:`SloGuard`, so deltas isolate the *faults*, not the
-    guard rails.  Results route through the content-addressed cache.
+    guard rails.  Results route through the content-addressed store.
     ``jobs > 1`` fans the independent cells out over a process pool;
-    results are bit-identical to serial execution.  ``allocation`` and
-    ``sizing`` select the mask-allocation / right-sizing policies for
-    the KRISP cells (:mod:`repro.core.pools`).
+    results are bit-identical to serial execution.  A failed cell
+    raises ``RuntimeError``.  ``allocation`` and ``sizing`` select the
+    mask-allocation / right-sizing policies for the KRISP cells
+    (:mod:`repro.core.pools`).
     """
     configs = {
         policy: ExperimentConfig(
@@ -243,40 +235,25 @@ def run_chaos(
     store = (cache if cache is not None else default_cache()) \
         if use_cache else None
 
+    # Each policy's fault-free baseline (scenario None) runs first.
     grid = [(policy, scenario)
             for policy in configs
             for scenario in (None, *scenarios)]
-    total = len(grid)
-    results: dict[tuple[str, Optional[str]], object] = {}
-    if jobs > 1 and total > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, total)) as pool:
-            futures = [pool.submit(_chaos_cell, configs[policy], scenario,
-                                   the_guard, store)
-                       for policy, scenario in grid]
-            for (policy, scenario), future in zip(grid, futures):
-                results[(policy, scenario)] = future.result()
-                if progress is not None:
-                    progress(len(results), total,
-                             f"{policy}/{scenario or 'baseline'}")
-    else:
-        for policy, scenario in grid:
-            results[(policy, scenario)] = _chaos_cell(
-                configs[policy], scenario, the_guard, store)
-            if progress is not None:
-                progress(len(results), total,
-                         f"{policy}/{scenario or 'baseline'}")
+    cells = [ExperimentCell(
+        configs[policy],
+        build_scenario(scenario, configs[policy]) if scenario else None,
+        the_guard, tag=f"{policy}/{scenario or 'baseline'}")
+        for policy, scenario in grid]
+    results = dict(zip(grid, results_or_raise(
+        run_cells(cells, jobs, store, progress=progress))))
 
-    cells = []
-    for policy in configs:
-        baseline = results[(policy, None)]
-        for scenario in scenarios:
-            cells.append(ChaosCell(policy=policy, scenario=scenario,
-                                   result=results[(policy, scenario)],
-                                   baseline=baseline))
     return ChaosReport(
         model_names=tuple(model_names),
         batch_size=batch_size,
         guard=the_guard,
-        cells=tuple(cells),
+        cells=tuple(
+            ChaosCell(policy=policy, scenario=scenario,
+                      result=results[(policy, scenario)],
+                      baseline=results[(policy, None)])
+            for policy in configs for scenario in scenarios),
     )

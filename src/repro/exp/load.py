@@ -6,7 +6,7 @@ rates (the spec rescaled via ``at_rate``), running each point through
 spec's arrival process and request mix.  Points are pure functions of
 (config, spec, rate, duration, faults, guard), so they fan out over a
 process pool exactly like sweep cells — serial and pooled execution are
-bit-identical — and cache through the content-addressed rate store
+bit-identical — and cache under the content store's ``rate/`` namespace
 (:mod:`repro.exp.cache`), with the spec folded into every key.
 
 The curve's *knee* — the highest offered rate whose p95 stays within a
@@ -16,29 +16,24 @@ operator reads off the report.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
-from repro.exp.cache import (
-    RateResultCache,
-    default_rate_cache,
-    rate_cache_key,
+from repro.exp.cache import ContentStore, default_cache
+from repro.exp.cells import (
+    ProgressFn,
+    RateCell,
+    results_or_raise,
+    run_cells,
 )
 from repro.server.experiment import ExperimentConfig
 from repro.server.metrics import LatencyStats
-from repro.server.options import (
-    _UNSET,
-    RunOptions,
-    reject_unsupported,
-    resolve_run_options,
-)
+from repro.server.options import RunOptions, reject_unsupported
 from repro.server.rate_experiment import (
     RateResult,
     default_rate_duration,
     run_rate_experiment,
 )
-from repro.server.slo import SloGuard
 
 __all__ = ["DEFAULT_SCALES", "LoadCurveReport", "LoadPoint",
            "run_load_curve"]
@@ -189,18 +184,19 @@ class LoadCurveReport:
         return "\n".join(lines)
 
 
-def _run_point(config: ExperimentConfig, offered_rps: float,
-               duration: float, workload, faults, guard):
-    """One pooled load point; exceptions cross the pool as strings."""
-    try:
-        result = run_rate_experiment(
-            config, offered_rps, duration,
-            RunOptions(workload=workload, faults=faults, guard=guard))
-        return offered_rps, result, None
-    except Exception as exc:  # noqa: BLE001 - report, don't hang the pool
-        import traceback
-        return offered_rps, None, \
-            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
+class _AttributedCell(RateCell):
+    """A rate point run under a flight recorder; its result is the pair
+    ``(RateResult, attribution summary)``."""
+
+    def run(self):
+        from repro.obs.attribution import summarize
+        from repro.obs.flight import FlightRecorder
+
+        recorder = FlightRecorder()
+        result = run_rate_experiment(self.config, self.offered_rps,
+                                     self.duration,
+                                     self.options(recorder=recorder))
+        return result, summarize(recorder.flights())
 
 
 def run_load_curve(
@@ -211,12 +207,10 @@ def run_load_curve(
     scales: tuple[float, ...] = DEFAULT_SCALES,
     duration: Optional[float] = None,
     options: Optional[RunOptions] = None,
-    guard=_UNSET,
-    faults=_UNSET,
     jobs: int = 1,
     use_cache: bool = True,
-    cache: Optional[RateResultCache] = None,
-    progress: Optional[Callable[[int, int, str], None]] = None,
+    cache: Optional[ContentStore] = None,
+    progress: Optional[ProgressFn] = None,
     attribute: bool = False,
 ) -> LoadCurveReport:
     """Sweep ``workload`` across offered rates into a load curve.
@@ -227,28 +221,26 @@ def run_load_curve(
     for the same ``duration`` (default
     :func:`~repro.server.rate_experiment.default_rate_duration`), so
     points differ only in offered load.  ``jobs > 1`` fans cache misses
-    out over a process pool; results are bit-identical to serial.
+    out over a process pool; results are bit-identical to serial.  A
+    failed point raises ``RuntimeError``.
 
     ``attribute=True`` attaches a latency-attribution summary
     (:func:`repro.obs.attribution.summarize`) to every point, labelling
     each — and in particular the knee — queueing- vs contention-
     dominated.  Attribution needs live flights, so every point then runs
-    locally with a :class:`~repro.obs.flight.FlightRecorder` (cache
-    reads and the process pool are bypassed; results are still written
-    back, and are bit-identical — recording is pure observation).
+    under a :class:`~repro.obs.flight.FlightRecorder` and cache reads are
+    bypassed (results are still written back, and are bit-identical —
+    recording is pure observation).
 
     Harness options arrive via ``options=``
-    (:class:`~repro.server.options.RunOptions`); the ``guard``/``faults``
-    keywords are deprecated shims mapping into it.  The workload is this
+    (:class:`~repro.server.options.RunOptions`).  The workload is this
     function's positional argument, so ``options.workload`` — like the
     fields a pooled curve cannot honour (``tracer``, ``recorder``,
     ``metrics``, ``audit``) — is rejected.
     """
-    opts = resolve_run_options("run_load_curve", options, guard=guard,
-                               faults=faults)
+    opts = options if options is not None else RunOptions()
     reject_unsupported("run_load_curve", opts, "tracer", "recorder",
                        "metrics", "audit", "workload")
-    guard, faults = opts.guard, opts.faults
     if rates is None:
         base = workload.offered_rps()
         rates = tuple(base * scale for scale in scales)
@@ -258,90 +250,20 @@ def run_load_curve(
     if duration is None:
         duration = default_rate_duration(config)
 
-    specs = {rate: workload.at_rate(rate) for rate in rates}
-    store = cache if cache is not None else default_rate_cache()
-    keys = {rate: rate_cache_key(config, rate, duration,
-                                 workload=specs[rate], faults=faults,
-                                 guard=guard)
-            for rate in rates}
-
-    results: dict[float, RateResult] = {}
-    attributions: dict[float, dict] = {}
-    cache_hits = 0
-    if use_cache and not attribute:
-        for rate in rates:
-            hit = store.get(keys[rate])
-            if hit is not None:
-                results[rate] = hit
-                cache_hits += 1
-
-    todo = [rate for rate in rates if rate not in results]
-    done = len(results)
-    total = len(rates)
-    if progress:
-        progress(done, total, "cached" if done else "starting")
-
-    failures: list[str] = []
-
-    def record(rate: float, result: Optional[RateResult],
-               error: Optional[str]) -> None:
-        nonlocal done
-        done += 1
-        if error is not None:
-            failures.append(f"rate {rate:.1f}: {error}")
-            if progress:
-                progress(done, total, f"{rate:.0f} rps FAILED")
-            return
-        results[rate] = result
-        if use_cache:
-            store.put(keys[rate], result,
-                      context={"offered_rps": rate, "duration": duration,
-                               "workload": specs[rate].to_dict()})
-        if progress:
-            progress(done, total, f"{rate:.0f} rps")
-
-    if todo and attribute:
-        from repro.obs.attribution import summarize
-        from repro.obs.flight import FlightRecorder
-        for rate in todo:
-            recorder = FlightRecorder()
-            try:
-                result = run_rate_experiment(
-                    config, rate, duration,
-                    RunOptions(workload=specs[rate], faults=faults,
-                               guard=guard, recorder=recorder))
-            except Exception as exc:  # noqa: BLE001 - mirror _run_point
-                import traceback
-                record(rate, None,
-                       f"{type(exc).__name__}: {exc}\n"
-                       f"{traceback.format_exc()}")
-                continue
-            attributions[rate] = summarize(recorder.flights())
-            record(rate, result, None)
-    elif todo:
-        if jobs > 1 and len(todo) > 1:
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(todo))) as pool:
-                futures = [
-                    pool.submit(_run_point, config, rate, duration,
-                                specs[rate], faults, guard)
-                    for rate in todo
-                ]
-                for future in futures:
-                    rate, result, error = future.result()
-                    record(rate, result, error)
-        else:
-            for rate in todo:
-                rate, result, error = _run_point(
-                    config, rate, duration, specs[rate], faults, guard)
-                record(rate, result, error)
-
-    if failures:
-        raise RuntimeError(
-            "load-curve points failed:\n" + "\n".join(failures))
-
-    points = tuple(_to_point(rate, results[rate], attributions.get(rate))
-                   for rate in rates)
+    cell_type = _AttributedCell if attribute else RateCell
+    cells = [cell_type(config, rate, duration, workload.at_rate(rate),
+                       opts.faults, opts.guard)
+             for rate in rates]
+    store = (cache if cache is not None else default_cache()) \
+        if use_cache else None
+    outcomes = run_cells(cells, jobs, None if attribute else store,
+                         progress=progress)
+    points = []
+    for cell, result in zip(cells, results_or_raise(outcomes)):
+        result, attribution = result if attribute else (result, None)
+        if attribute and store is not None:
+            store.put(cell, result)
+        points.append(_to_point(cell.offered_rps, result, attribution))
     return LoadCurveReport(config=config, workload=workload,
-                           duration=duration, points=points,
-                           cache_hits=cache_hits)
+                           duration=duration, points=tuple(points),
+                           cache_hits=sum(o.hit for o in outcomes))

@@ -6,13 +6,13 @@ layer is deliberately simple: :class:`Sweep` builds a deduplicated cell
 list (cartesian grids, mixed-model pairs, or explicit cells) and
 :func:`run_sweep` executes it —
 
-* consulting the content-addressed :mod:`result cache <repro.exp.cache>`
-  first (a warm re-run computes nothing);
-* fanning the remaining cells out over a ``ProcessPoolExecutor`` sized
-  by ``REPRO_JOBS`` (default ``os.cpu_count() - 1``), with a serial
-  in-process fallback for ``jobs=1``;
-* retrying failed cells and capturing their tracebacks, so one bad cell
-  degrades the grid gracefully instead of killing it.
+through the shared cell executor (:func:`~repro.exp.cells.run_cells`),
+which consults the content-addressed :mod:`result store
+<repro.exp.cache>` first (a warm re-run computes nothing), fans the
+misses out over a process pool sized by ``REPRO_JOBS`` (default
+``os.cpu_count() - 1``), and retries failed cells, capturing their
+tracebacks, so one bad cell degrades the grid gracefully instead of
+killing it.
 
 The returned :class:`SweepReport` carries every result keyed by its
 config plus run/cached/failed accounting, wall time, and the aggregate
@@ -29,23 +29,13 @@ from __future__ import annotations
 import itertools
 import os
 import time
-import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from repro.exp.cache import ResultCache, default_cache
-from repro.server.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_experiment,
-)
-from repro.server.options import (
-    _UNSET,
-    RunOptions,
-    reject_unsupported,
-    resolve_run_options,
-)
+from repro.exp.cache import ContentStore, default_cache
+from repro.exp.cells import CellOutcome, ExperimentCell, ProgressFn, run_cells
+from repro.server.experiment import ExperimentConfig, ExperimentResult
+from repro.server.options import RunOptions, reject_unsupported
 
 __all__ = [
     "CellFailure",
@@ -54,8 +44,6 @@ __all__ = [
     "default_jobs",
     "run_sweep",
 ]
-
-ProgressFn = Callable[[int, int, str], None]
 
 
 def default_jobs() -> int:
@@ -67,12 +55,6 @@ def default_jobs() -> int:
         except ValueError:
             raise ValueError(f"REPRO_JOBS={env!r} is not an integer") from None
     return max(1, (os.cpu_count() or 2) - 1)
-
-
-def _cell_label(config: ExperimentConfig) -> str:
-    """Short human-readable tag for progress lines."""
-    models = "+".join(config.model_names)
-    return f"{models}/{config.policy}/b{config.batch_size}"
 
 
 class Sweep:
@@ -175,7 +157,7 @@ class SweepReport:
             for failure in self.failed:
                 if failure.config == config:
                     raise RuntimeError(
-                        f"cell {_cell_label(config)} failed after "
+                        f"cell {ExperimentCell(config).label} failed after "
                         f"{failure.attempts} attempts:\n{failure.traceback}"
                     ) from None
             raise KeyError(f"{config} was not part of this sweep") from None
@@ -185,7 +167,7 @@ class SweepReport:
         if not self.failed:
             return
         detail = "\n".join(
-            f"- {_cell_label(f.config)} ({f.attempts} attempts): "
+            f"- {ExperimentCell(f.config).label} ({f.attempts} attempts): "
             f"{f.error}\n{f.traceback}"
             for f in self.failed
         )
@@ -203,30 +185,14 @@ class SweepReport:
         )
 
 
-def _run_cell(config: ExperimentConfig, faults=None, guard=None):
-    """Pool worker: run one cell, trapping the exception *in the child*
-    so only plain strings cross the process boundary."""
-    start = time.perf_counter()
-    try:
-        result = run_experiment(
-            config, RunOptions(faults=faults, guard=guard))
-        return result, time.perf_counter() - start, None, None
-    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        return (None, time.perf_counter() - start,
-                f"{type(exc).__name__}: {exc}", traceback.format_exc())
-
-
 def run_sweep(
     sweep: Union[Sweep, Iterable[ExperimentConfig]],
     jobs: Optional[int] = None,
     cache: bool = True,
-    cache_store: Optional[ResultCache] = None,
+    cache_store: Optional[ContentStore] = None,
     retries: int = 1,
     progress: Optional[ProgressFn] = None,
     options: Optional[RunOptions] = None,
-    metrics=_UNSET,
-    faults=_UNSET,
-    guard=_UNSET,
 ) -> SweepReport:
     """Run every cell of ``sweep``; never raises for individual cells.
 
@@ -234,12 +200,13 @@ def run_sweep(
     ``jobs=1`` runs serially in-process.  ``cache=False`` bypasses the
     result store entirely (no reads, no writes).  Each failing cell is
     retried ``retries`` more times before landing in ``report.failed``.
+    ``progress(done, total, outcome)`` sees every
+    :class:`~repro.exp.cells.CellOutcome` as it resolves.
 
     Harness options arrive via ``options=``
-    (:class:`~repro.server.options.RunOptions`); the ``metrics``/
-    ``faults``/``guard`` keywords are deprecated shims mapping into it.
-    Fields a process-pooled sweep cannot honour (``tracer``,
-    ``recorder``, ``audit``, ``workload``) are rejected.
+    (:class:`~repro.server.options.RunOptions`).  Fields a
+    process-pooled sweep cannot honour (``tracer``, ``recorder``,
+    ``audit``, ``workload``) are rejected.
 
     ``options.faults`` (a :class:`~repro.faults.FaultSchedule`) and
     ``options.guard`` (a :class:`~repro.server.slo.SloGuard`) apply to
@@ -254,23 +221,16 @@ def run_sweep(
     ``sweep_cell_seconds`` histogram — updated as cells resolve so a
     progress callback can read them mid-sweep.
     """
-    opts = resolve_run_options("run_sweep", options, metrics=metrics,
-                               faults=faults, guard=guard)
+    opts = options if options is not None else RunOptions()
     reject_unsupported("run_sweep", opts, "tracer", "recorder", "audit",
                        "workload")
-    metrics, faults, guard = opts.metrics, opts.faults, opts.guard
-    cells = Sweep(sweep).cells if not isinstance(sweep, Sweep) \
-        else sweep.cells
+    cells = sweep.cells if isinstance(sweep, Sweep) else Sweep(sweep).cells
     if jobs is None:
         jobs = default_jobs()
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
     store = (cache_store if cache_store is not None else default_cache()) \
         if cache else None
 
-    m_hits = m_misses = m_last = m_hist = None
+    metrics = opts.metrics
     if metrics is not None:
         m_hits = metrics.counter(
             "sweep_cache_hits_total", "Result-cache hits during the sweep")
@@ -282,97 +242,33 @@ def run_sweep(
         m_hist = metrics.histogram(
             "sweep_cell_seconds", "Per-cell execution wall time")
 
-    start = time.perf_counter()
-    results: dict[ExperimentConfig, ExperimentResult] = {}
-    cached = 0
-    cell_time = 0.0
-    done = 0
-    total = len(cells)
-
-    def tick(config: ExperimentConfig) -> None:
-        nonlocal done
-        done += 1
-        if progress is not None:
-            progress(done, total, _cell_label(config))
-
-    if store is not None:
-        for config in cells:
-            hit = store.get(config, faults=faults, guard=guard)
-            if hit is not None:
-                results[config] = hit
-                cached += 1
-                if m_hits is not None:
-                    m_hits.inc()
-                tick(config)
-            elif m_misses is not None:
+    def observe(done: int, total: int, outcome: CellOutcome) -> None:
+        if metrics is not None:
+            if outcome.hit:
+                m_hits.inc()
+            else:
                 m_misses.inc()
-    elif m_misses is not None:
-        m_misses.inc(len(cells))
+                m_last.set(outcome.seconds)
+                m_hist.observe(outcome.seconds)
+        if progress is not None:
+            progress(done, total, outcome)
 
-    pending = [c for c in cells if c not in results]
-    attempts = {c: 0 for c in pending}
-    last_error: dict[ExperimentConfig, tuple[str, str]] = {}
-
-    def record(config: ExperimentConfig, outcome) -> None:
-        nonlocal cell_time
-        result, duration, error, tb = outcome
-        cell_time += duration
-        attempts[config] += 1
-        if m_last is not None:
-            m_last.set(duration)
-            m_hist.observe(duration)
-        if result is not None:
-            results[config] = result
-            if store is not None:
-                store.put(config, result, faults=faults, guard=guard)
-            tick(config)
-        else:
-            last_error[config] = (error, tb)
-
-    for round_index in range(retries + 1):
-        pending = [c for c in cells
-                   if c not in results and attempts[c] == round_index]
-        if not pending:
-            break
-        # Sized per round: a retry round usually has far fewer cells
-        # than the first pass, so it should not spawn the full pool.
-        workers = min(jobs, len(pending))
-        if workers == 1:
-            for config in pending:
-                record(config, _run_cell(config, faults, guard))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(_run_cell, c, faults, guard): c
-                           for c in pending}
-                remaining = set(futures)
-                while remaining:
-                    finished, remaining = wait(
-                        remaining, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        config = futures[future]
-                        try:
-                            outcome = future.result()
-                        except Exception as exc:  # pool/pickle breakage
-                            outcome = (None, 0.0,
-                                       f"{type(exc).__name__}: {exc}",
-                                       traceback.format_exc())
-                        record(config, outcome)
-
-    failed = tuple(
-        CellFailure(config=c, error=last_error[c][0],
-                    traceback=last_error[c][1], attempts=attempts[c])
-        for c in cells if c not in results
-    )
-    for failure in failed:
-        tick(failure.config)
-
+    start = time.perf_counter()
+    outcomes = run_cells(
+        [ExperimentCell(c, opts.faults, opts.guard) for c in cells],
+        jobs, store, retries, observe)
+    results = {o.cell.config: o.result for o in outcomes if o.ok}
+    cached = sum(o.hit for o in outcomes)
     return SweepReport(
         cells=cells,
         results=results,
-        failed=failed,
+        failed=tuple(
+            CellFailure(config=o.cell.config, error=o.error,
+                        traceback=o.traceback, attempts=o.attempts)
+            for o in outcomes if not o.ok),
         ran=len(results) - cached,
         cached=cached,
         jobs=jobs,
         wall_time=time.perf_counter() - start,
-        cell_time=cell_time,
+        cell_time=sum(o.seconds for o in outcomes),
     )

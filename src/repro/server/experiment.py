@@ -20,12 +20,7 @@ from repro.gpu.topology import GpuTopology
 from repro.models.zoo import get_model
 from repro.profiling.model_profiler import run_inference_once
 from repro.server.metrics import LatencyStats
-from repro.server.options import (
-    _UNSET,
-    RunOptions,
-    reject_unsupported,
-    resolve_run_options,
-)
+from repro.server.options import RunOptions, reject_unsupported
 from repro.server.slo import ResilienceStats, SloGuard
 
 __all__ = [
@@ -199,29 +194,20 @@ def run_experiment(
     options: Optional[RunOptions] = None,
     *,
     stats_out: Optional[dict] = None,
-    tracer=_UNSET,
-    recorder=_UNSET,
-    metrics=_UNSET,
-    sample_interval=_UNSET,
-    faults=_UNSET,
-    guard=_UNSET,
-    audit=_UNSET,
 ) -> ExperimentResult:
     """Run one co-location cell and return its measurements.
 
     Harness options — tracer, recorder, metrics, sample interval, fault
     schedule, SLO guard, post-run audit — travel in a single frozen
     :class:`~repro.server.options.RunOptions` passed as ``options=``.
-    The per-keyword spellings are deprecated shims that map into it (and
-    cannot be mixed with ``options=``).  ``RunOptions.workload`` is
-    rejected: this runner is closed-loop.
+    ``RunOptions.workload`` is rejected: this runner is closed-loop.
 
     ``stats_out`` (a plain dict) receives engine-level run statistics —
     ``events_executed`` and final ``sim_time`` — for harnesses (the
     bench CLI) that need them; the measurement payload itself stays
     byte-stable.
 
-    ``audit`` (a callable taking ``(setup, injector)``) is invoked once
+    ``options.audit`` (a callable taking ``(setup, injector)``) runs once
     after the run completes, with the live :class:`ServingSetup` and the
     :class:`~repro.faults.injector.FaultInjector` (or ``None``), so the
     audit subsystem (:mod:`repro.check`) can inspect end-of-run state —
@@ -229,8 +215,8 @@ def run_experiment(
     not carry.  Observation only: it runs after every measurement is
     already fixed and has no effect on the returned result.
 
-    ``tracer`` (a :class:`repro.obs.Tracer`) records the request/kernel/
-    mask-decision timeline; ``recorder`` (a :class:`repro.obs.flight
+    ``options.tracer`` (a :class:`repro.obs.Tracer`) records the
+    request/kernel/mask-decision timeline; ``recorder`` (a :class:`repro.obs.flight
     .FlightRecorder`) captures per-request flights for latency
     attribution (:mod:`repro.obs.attribution`); ``metrics`` (a
     :class:`repro.obs.MetricsRegistry`) receives periodic
@@ -238,7 +224,7 @@ def run_experiment(
     simulated seconds.  All default to off and add no overhead when
     omitted.
 
-    ``faults`` (a :class:`repro.faults.FaultSchedule`) injects the
+    ``options.faults`` (a :class:`repro.faults.FaultSchedule`) injects the
     schedule's events during the run; ``guard`` (a :class:`repro.server
     .slo.SloGuard`) enables admission control, deadline shedding, and
     bounded retry.  When either is given the result carries
@@ -247,10 +233,7 @@ def run_experiment(
     """
     from repro.server.setup import ServingSetup
 
-    opts = resolve_run_options(
-        "run_experiment", options, tracer=tracer, recorder=recorder,
-        metrics=metrics, sample_interval=sample_interval, faults=faults,
-        guard=guard, audit=audit)
+    opts = options if options is not None else RunOptions()
     reject_unsupported("run_experiment", opts, "workload")
     tracer, recorder, metrics = opts.tracer, opts.recorder, opts.metrics
     sample_interval = opts.sample_interval
@@ -341,10 +324,10 @@ def isolated_baseline(model_name: str, batch_size: int = 32,
     """The 1-worker unrestricted reference cell for ``model_name``.
 
     Routed through the content-addressed result cache (lazily imported —
-    :mod:`repro.exp.cache` depends on this module) so a warm sweep re-run
+    :mod:`repro.exp.cells` depends on this module) so a warm sweep re-run
     does not recompute the normalisation baselines either.
     """
-    from repro.exp.cache import cached_run_experiment
+    from repro.exp.cells import cached_run_experiment
     return cached_run_experiment(ExperimentConfig(
         model_names=(model_name,),
         policy="mps-default",

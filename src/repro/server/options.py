@@ -11,32 +11,23 @@ carrier for all of them: build it once, pass it to
 :func:`~repro.exp.load.run_load_curve` or
 :func:`~repro.cluster.experiment.run_cluster_experiment` as ``options=``.
 
-The legacy keywords still work on every runner but emit a
-:class:`DeprecationWarning` through :func:`resolve_run_options`; tier-1
-runs under ``-W error::DeprecationWarning`` in CI, so in-tree callers
-are all on the new surface.  Each runner supports a subset of the
-fields (``run_experiment`` has no ``workload``; ``run_sweep`` cannot
-carry a live ``tracer`` across a process pool) and rejects the rest via
-:func:`reject_unsupported` so a misdirected option fails loudly instead
-of being silently dropped.
+Each runner supports a subset of the fields (``run_experiment`` has no
+``workload``; ``run_sweep`` cannot carry a live ``tracer`` across a
+process pool) and rejects the rest via :func:`reject_unsupported` so a
+misdirected option fails loudly instead of being silently dropped.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-__all__ = ["RunOptions", "reject_unsupported", "resolve_run_options"]
+__all__ = ["RunOptions", "reject_unsupported"]
 
 #: Sample interval threaded to :class:`~repro.obs.sampler.SimSampler`
 #: when ``metrics`` is given (matches the sampler's own default).
 DEFAULT_SAMPLE_INTERVAL = 250e-6
-
-#: Sentinel distinguishing "legacy keyword not passed" from an explicit
-#: ``None`` (``None`` is a meaningful value for every legacy keyword).
-_UNSET: Any = object()
 
 
 @dataclass(frozen=True)
@@ -80,30 +71,6 @@ class RunOptions:
     def replace(self, **changes: Any) -> "RunOptions":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
         return dataclasses.replace(self, **changes)
-
-
-def resolve_run_options(caller: str, options: Optional[RunOptions],
-                        **legacy: Any) -> RunOptions:
-    """Merge deprecated per-keyword arguments into a :class:`RunOptions`.
-
-    Runners pass each legacy keyword with the :data:`_UNSET` default;
-    anything still ``_UNSET`` here was not supplied.  Supplying any
-    legacy keyword warns :class:`DeprecationWarning` (mixing them with
-    ``options=`` is an error — there is no sane precedence).
-    """
-    passed = {name: value for name, value in legacy.items()
-              if value is not _UNSET}
-    if not passed:
-        return options if options is not None else RunOptions()
-    if options is not None:
-        raise TypeError(
-            f"{caller}() got both options= and the legacy keyword(s) "
-            f"{', '.join(sorted(passed))}; pass everything via options=")
-    warnings.warn(
-        f"{caller}(): the {', '.join(sorted(passed))} keyword(s) are "
-        f"deprecated; pass options=RunOptions(...) instead",
-        DeprecationWarning, stacklevel=3)
-    return RunOptions(**passed)
 
 
 def reject_unsupported(caller: str, options: RunOptions,

@@ -1,16 +1,17 @@
-"""Tests for the fleet grid, its cache, and node-crash resilience."""
+"""Tests for the fleet grid, its store, and node-crash resilience."""
 
 import pytest
 
 from repro.cluster import (
+    ClusterCell,
     ClusterConfig,
-    ClusterResultCache,
-    cached_run_cluster_experiment,
     cluster_cache_key,
     cluster_result_hash,
     run_cluster_experiment,
     run_fleet,
 )
+from repro.exp.cache import ContentStore
+from repro.exp.cells import run_cells
 from repro.faults.schedule import FaultSchedule, NodeCrash, WorkerCrash
 from repro.server.options import RunOptions
 from repro.server.slo import SloGuard
@@ -68,13 +69,40 @@ def test_fleet_report_shape_and_knee():
 
 
 def test_cluster_cache_roundtrips_and_hits(tmp_path):
-    cache = ClusterResultCache(root=tmp_path)
-    kwargs = dict(offered_rps=200.0, duration=0.5, cache=cache)
-    first = cached_run_cluster_experiment(_base(), _poisson_spec(), **kwargs)
+    cache = ContentStore(root=tmp_path)
+    cell = ClusterCell(_base(), _poisson_spec().at_rate(200.0), 0.5)
+    first, = run_cells([cell], store=cache)
     assert cache.stats.stores == 1 and cache.stats.hits == 0
-    second = cached_run_cluster_experiment(_base(), _poisson_spec(), **kwargs)
-    assert cache.stats.hits == 1
-    assert cluster_result_hash(first) == cluster_result_hash(second)
+    second, = run_cells([cell], store=cache)
+    assert cache.stats.hits == 1 and second.hit
+    assert cluster_result_hash(first.result) \
+        == cluster_result_hash(second.result)
+
+
+def _tree(root):
+    return {path: path.stat().st_mtime_ns
+            for path in root.rglob("*") if path.is_file()}
+
+
+def test_pooled_fleet_uses_only_the_given_store(tmp_path, monkeypatch):
+    """Regression: pooled cells once read and wrote the process-default
+    cluster store, ignoring ``cache=``, so a warm pooled rerun reported
+    no hits and the given store stayed empty."""
+    default = tmp_path / "default"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(default))
+    store = ContentStore(root=tmp_path / "given")
+    kwargs = dict(devices=(1, 2), scales=(1.0,), duration=0.4, jobs=2,
+                  cache=store)
+    cold = run_fleet(_base(), _poisson_spec(), **kwargs)
+    assert cold.cache_hits == 0 and store.stats.stores == 2
+    assert len(list((tmp_path / "given" / "cluster").rglob("*.json"))) == 2
+    before = _tree(default)
+
+    warm = run_fleet(_base(), _poisson_spec(), **kwargs)
+    assert warm.cache_hits == len(warm.cells) == 2
+    assert warm.to_json() == cold.to_json()
+    assert _tree(default) == before  # nothing written outside the store
+    assert not (default / "cluster").exists()
 
 
 def test_cluster_cache_key_discriminates_topology():

@@ -1,23 +1,27 @@
-"""Tests for the content-addressed result cache (repro/exp/cache.py)."""
+"""Tests for the content-addressed result store (repro/exp/cache.py)."""
 
 import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 import repro
 from repro.exp.cache import (
+    ContentStore,
     JsonStore,
-    ResultCache,
     cache_key,
     cache_root,
-    cached_run_experiment,
     config_from_dict,
     config_to_dict,
     fingerprint,
+    rate_result_hash,
     result_from_dict,
+    result_hash,
     result_to_dict,
 )
+from repro.exp.cells import ExperimentCell, RateCell, cached_run_experiment
 from repro.server.experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -106,16 +110,17 @@ def test_result_round_trips_through_json():
 
 def test_result_cache_round_trip(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    cache = ResultCache()
-    assert cache.get(BASE) is None
+    cache = ContentStore()
+    cell = ExperimentCell(BASE)
+    assert cache.get(cell) is None
     assert cache.stats.misses == 1
     result = _synthetic_result(BASE)
-    cache.put(BASE, result)
-    assert cache.get(BASE) == result
+    cache.put(cell, result)
+    assert cache.get(cell) == result
     assert cache.stats.hits == 1
     # A different config misses even with the store populated.
     other = dataclasses.replace(BASE, seed=99)
-    assert cache.get(other) is None
+    assert cache.get(ExperimentCell(other)) is None
 
 
 @pytest.mark.parametrize("corruption", [
@@ -126,24 +131,25 @@ def test_result_cache_round_trip(monkeypatch, tmp_path):
 ])
 def test_corrupt_result_entries_are_misses(monkeypatch, tmp_path, corruption):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    cache = ResultCache()
-    cache.put(BASE, _synthetic_result(BASE))
-    cache.path_for(BASE).write_text(corruption)
-    assert cache.get(BASE) is None
+    cache = ContentStore()
+    cell = ExperimentCell(BASE)
+    cache.put(cell, _synthetic_result(BASE))
+    cache.path_for(cell).write_text(corruption)
+    assert cache.get(cell) is None
     assert cache.stats.invalidations == 1
     # The corrupt file was quarantined, so a re-put works cleanly.
-    cache.put(BASE, _synthetic_result(BASE))
-    assert cache.get(BASE) is not None
+    cache.put(cell, _synthetic_result(BASE))
+    assert cache.get(cell) is not None
 
 
 def test_cached_run_experiment_recomputes_after_corruption(monkeypatch,
                                                            tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    cache = ResultCache()
+    cache = ContentStore()
     config = ExperimentConfig(("squeezenet",), batch_size=4,
                               requests_scale=0.25)
     first = cached_run_experiment(config, cache)
-    cache.path_for(config).write_text("{truncated")
+    cache.path_for(ExperimentCell(config)).write_text("{truncated")
     second = cached_run_experiment(config, cache)
     assert first == second
     assert cache.stats.invalidations == 1
@@ -220,32 +226,33 @@ def test_json_store_concurrent_writers_never_corrupt(tmp_path):
 
 def test_entries_land_in_two_hex_shard_subdirs(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    cache = ResultCache()
-    cache.put(BASE, _synthetic_result(BASE))
+    cache = ContentStore()
+    cache.put(ExperimentCell(BASE), _synthetic_result(BASE))
     key = cache_key(BASE)
-    path = cache.path_for(BASE)
+    path = cache.path_for(ExperimentCell(BASE))
     assert path == tmp_path / "results" / key[:2] / f"{key}.json"
     assert path.exists()
 
 
 def test_flat_legacy_entry_hits_and_migrates_on_read(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    cache = ResultCache()
+    cache = ContentStore()
+    cell = ExperimentCell(BASE)
     result = _synthetic_result(BASE)
-    cache.put(BASE, result)
+    cache.put(cell, result)
     key = cache_key(BASE)
-    sharded = cache.path_for(BASE)
+    sharded = cache.path_for(cell)
     # Rewind to the pre-sharding layout: flat <results>/<key>.json.
     legacy = tmp_path / "results" / f"{key}.json"
     sharded.rename(legacy)
     sharded.parent.rmdir()
 
-    assert cache.get(BASE) == result          # legacy entry still hits...
+    assert cache.get(cell) == result          # legacy entry still hits...
     assert sharded.exists()                   # ...and was moved into its shard
     assert not legacy.exists()
     assert cache.stats.hits == 1
 
-    assert cache.get(BASE) == result          # steady state: sharded read
+    assert cache.get(cell) == result          # steady state: sharded read
     assert cache.stats.hits == 2
 
 
@@ -255,3 +262,95 @@ def test_locate_entry_misses_resolve_to_sharded_path(tmp_path):
     key = "ab" + "0" * 62
     assert locate_entry(tmp_path, key) == sharded_entry_path(tmp_path, key)
     assert locate_entry(tmp_path, key) == tmp_path / "ab" / f"{key}.json"
+
+
+# -- open-loop and fleet key pins --------------------------------------------
+
+POISSON_SPEC = "examples/workloads/poisson-squeezenet.yaml"
+RATE_CFG = ExperimentConfig(("squeezenet",) * 2, policy="krisp-i",
+                            batch_size=4)
+
+
+def _fleet_base():
+    from repro.cluster.config import ClusterConfig
+
+    return ClusterConfig(devices=2, model_names=("squeezenet",),
+                         policy="krisp-i", batch_size=4, seed=0)
+
+
+def _poisson_spec():
+    from repro.workload import load_workload
+
+    return load_workload(Path(__file__).resolve().parents[1] / POISSON_SPEC)
+
+
+def test_rate_cache_key_pin():
+    from repro.exp.cache import rate_cache_key
+
+    assert rate_cache_key(RATE_CFG, 100.0, 0.5) == (
+        "f72a4597608caf7a1a309bc5156bec677f386d01ffc6f077d569afc368fe4635")
+
+
+def test_rate_cache_key_with_workload_pin():
+    from repro.exp.cache import rate_cache_key
+
+    key = rate_cache_key(RATE_CFG, 200.0, 0.5, workload=_poisson_spec())
+    assert key == (
+        "8284e345716c09ded0c9f28753ee04e7bff740682a84e1d73e59122c6473d4fd")
+
+
+def test_cluster_cache_key_pins():
+    from repro.cluster.config import AutoscalerConfig
+    from repro.cluster.experiment import cluster_cache_key
+
+    spec = _poisson_spec()
+    scaled = cluster_cache_key(_fleet_base(), 200.0, 0.5, workload=spec,
+                               autoscaler=AutoscalerConfig())
+    assert scaled == (
+        "df5d901d331bcb4dd077a67e8688d7323f88d85ae56d5a431762e5bb9e5b9817")
+    pinned = cluster_cache_key(_fleet_base(), 200.0, 0.5, workload=spec)
+    assert pinned == (
+        "7c2ee1d8e91185d2f1a86c93289ab041fa3a0599d10743b2a6f24902f65de123")
+
+
+# -- entries written by the pre-ContentStore cache classes --------------------
+
+#: One entry per namespace, as the per-namespace cache classes wrote them
+#: (sharded layout), with the result hash each decodes to.
+LEGACY_STORE = Path(__file__).parent / "data" / "legacy_store"
+
+
+def _legacy_cells():
+    from repro.cluster.config import AutoscalerConfig
+    from repro.cluster.experiment import ClusterCell, cluster_result_hash
+
+    spec = _poisson_spec()
+    closed = ExperimentConfig(("squeezenet",), batch_size=4,
+                              requests_scale=0.25)
+    return [
+        (ExperimentCell(closed), result_hash,
+         "5a1899e0830099e1658079336032b696ee9bec6f16143ff5b2ca201c2f4c9a2a"),
+        (RateCell(RATE_CFG, 200.0, 0.5, workload=spec), rate_result_hash,
+         "42bfea522ab1e9af0d95361421bf40cee94217696e5197dab80604ac595f4949"),
+        (ClusterCell(_fleet_base(), spec.at_rate(200.0), 0.5,
+                     AutoscalerConfig()), cluster_result_hash,
+         "dd209f6c1870213819857f5383e4683b801543ac72aeb7c796958f8aeb4409ab"),
+    ]
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["sharded", "flat"])
+def test_legacy_entries_are_served_as_hits(tmp_path, flat):
+    shutil.copytree(LEGACY_STORE, tmp_path, dirs_exist_ok=True)
+    store = ContentStore(root=tmp_path)
+    for cell, digest_of, digest in _legacy_cells():
+        sharded = store.path_for(cell)
+        assert sharded.exists(), cell.namespace
+        legacy = tmp_path / cell.namespace / sharded.name
+        if flat:  # the pre-sharding layout: <namespace>/<key>.json
+            sharded.rename(legacy)
+        result = store.get(cell)
+        assert result is not None, cell.namespace
+        assert digest_of(result) == digest
+        assert sharded.exists() and not legacy.exists()
+    assert store.stats.as_dict() == {"hits": 3, "misses": 0, "stores": 0,
+                                     "invalidations": 0}

@@ -1,4 +1,4 @@
-"""Tests for the RunOptions consolidation and its deprecation shims."""
+"""Tests for the RunOptions consolidation."""
 
 import dataclasses
 
@@ -6,11 +6,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.server.experiment import ExperimentConfig, run_experiment
-from repro.server.options import (
-    RunOptions,
-    reject_unsupported,
-    resolve_run_options,
-)
+from repro.server.options import RunOptions, reject_unsupported
 from repro.server.rate_experiment import run_rate_experiment
 from repro.server.slo import SloGuard
 
@@ -30,25 +26,10 @@ def test_run_options_is_frozen_and_replaceable():
         RunOptions(sample_interval=0.0)
 
 
-def test_resolve_run_options_defaults():
-    assert resolve_run_options("caller", None) == RunOptions()
-    options = RunOptions(guard=SloGuard())
-    assert resolve_run_options("caller", options) is options
-
-
-def test_legacy_keywords_warn_and_match_options_path():
-    guard = SloGuard()
-    with pytest.warns(DeprecationWarning, match="run_experiment"):
-        legacy = run_experiment(_config(), guard=guard)
-    modern = run_experiment(_config(), options=RunOptions(guard=guard))
-    assert legacy.total_rps == modern.total_rps
-    assert legacy.workers[0].latency.p95 == modern.workers[0].latency.p95
-
-
-def test_mixing_options_and_legacy_keywords_is_an_error():
-    with pytest.raises(TypeError, match="options="):
-        run_experiment(_config(), options=RunOptions(),
-                       guard=SloGuard())
+@pytest.mark.parametrize("runner", [run_experiment, run_rate_experiment])
+def test_legacy_keywords_are_rejected(runner):
+    with pytest.raises(TypeError, match="guard"):
+        runner(_config(), guard=SloGuard())
 
 
 def test_rate_runner_accepts_options():
@@ -58,12 +39,6 @@ def test_rate_runner_accepts_options():
         options=RunOptions(metrics=registry))
     assert result.achieved_rps > 0
     assert len(registry) > 0
-
-
-def test_rate_runner_legacy_metrics_warns():
-    with pytest.warns(DeprecationWarning, match="run_rate_experiment"):
-        run_rate_experiment(_config(), offered_rps=500.0, duration=0.5,
-                            metrics=MetricsRegistry())
 
 
 def test_reject_unsupported_names_the_field():

@@ -17,7 +17,7 @@ import json
 import pytest
 
 from repro.exp.cache import (
-    RateResultCache,
+    ContentStore,
     rate_result_to_dict,
     result_hash,
 )
@@ -206,7 +206,7 @@ def test_load_curve_serial_and_pooled_are_identical(tmp_path, monkeypatch):
 
 def test_load_curve_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    cache = RateResultCache()
+    cache = ContentStore()
     spec = poisson_spec(200.0)
     first = run_load_curve(CONFIG, spec, scales=(0.5, 1.0), duration=0.4,
                            cache=cache)

@@ -6,12 +6,13 @@ import json
 import pytest
 
 from repro.exp.cache import (
-    RateResultCache,
+    ContentStore,
     rate_cache_key,
     rate_result_from_dict,
     rate_result_hash,
     rate_result_to_dict,
 )
+from repro.exp.cells import RateCell
 from repro.server.experiment import ExperimentConfig
 from repro.server.metrics import LatencyStats
 from repro.server.rate_experiment import RateResult
@@ -179,13 +180,14 @@ def test_rate_result_round_trip_and_hash():
 
 def test_rate_result_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    cache = RateResultCache()
-    key = rate_cache_key(CONFIG, 100.0, 0.5, workload=POISSON)
-    assert cache.get(key) is None
+    cache = ContentStore()
+    cell = RateCell(CONFIG, 100.0, 0.5, workload=POISSON)
+    assert cell.key() == rate_cache_key(CONFIG, 100.0, 0.5, workload=POISSON)
+    assert cache.get(cell) is None
     assert cache.stats.misses == 1
     result = _result()
-    cache.put(key, result, context={"offered_rps": 100.0})
-    assert cache.get(key) == result
+    cache.put(cell, result)
+    assert cache.get(cell) == result
     assert cache.stats.hits == 1
     assert cache.stats.stores == 1
 
@@ -193,9 +195,9 @@ def test_rate_result_cache_round_trip(tmp_path, monkeypatch):
 def test_rate_result_cache_treats_corruption_as_miss(tmp_path,
                                                      monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    cache = RateResultCache()
-    key = rate_cache_key(CONFIG, 100.0, 0.5)
-    cache.put(key, _result())
-    cache.path_for(key).write_text("{ not json")
-    assert cache.get(key) is None
-    assert not cache.path_for(key).exists()  # corrupt entry evicted
+    cache = ContentStore()
+    cell = RateCell(CONFIG, 100.0, 0.5)
+    cache.put(cell, _result())
+    cache.path_for(cell).write_text("{ not json")
+    assert cache.get(cell) is None
+    assert not cache.path_for(cell).exists()  # corrupt entry evicted
