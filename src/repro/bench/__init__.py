@@ -13,7 +13,6 @@ from repro.bench.runner import (
     baseline_deltas,
     check_report,
     default_baseline_path,
-    profile_scenario,
     run_bench,
     run_scenario,
     write_report,
@@ -30,7 +29,6 @@ __all__ = [
     "baseline_deltas",
     "check_report",
     "default_baseline_path",
-    "profile_scenario",
     "run_bench",
     "run_scenario",
     "write_report",

@@ -41,7 +41,6 @@ __all__ = [
     "baseline_deltas",
     "check_report",
     "default_baseline_path",
-    "profile_scenario",
     "run_bench",
     "run_scenario",
     "write_report",
@@ -54,11 +53,10 @@ __all__ = [
 #: field; readers ignore it.)
 BENCH_SCHEMA = 2
 
-#: Recompute modes map to the device's ``REPRO_RECOMPUTE`` knob:
-#: ``auto`` (incremental with the measured dirty-fraction crossover to
-#: the full sweep), ``incremental`` (forced), ``full`` (forced sweep,
-#: the bit-identity oracle).
-_MODES = ("auto", "incremental", "full")
+#: Recompute modes: ``incremental`` is the device's production path
+#: (dirty-set recompute with its crossover to the full sweep); ``full``
+#: sets ``REPRO_FULL_RECOMPUTE=1``, the bit-identity oracle.
+_MODES = ("incremental", "full")
 
 
 class BenchError(RuntimeError):
@@ -80,18 +78,36 @@ class BenchRow:
     repeats: int
 
 
-def _git_rev() -> str:
+def _git(*args: str, cwd: Optional[Path] = None
+         ) -> Optional[subprocess.CompletedProcess]:
+    """Run ``git args`` in ``cwd`` (default: this package); ``None`` when
+    git cannot be started."""
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
+        return subprocess.run(
+            ["git", *args], capture_output=True, text=True, timeout=10,
+            cwd=str(cwd or Path(__file__).resolve().parent),
         )
-        if out.returncode == 0:
-            return out.stdout.strip()
     except OSError:
-        pass
-    return "unknown"
+        return None
+
+
+def _tree_dirty() -> bool:
+    """Whether tracked files differ from ``HEAD``."""
+    out = _git("diff", "--quiet", "HEAD", "--")
+    return out is not None and out.returncode == 1
+
+
+def _git_rev() -> str:
+    """Short ``HEAD`` SHA, suffixed ``+dirty`` when the tree differs.
+
+    A report measured on uncommitted changes is then not credited to
+    the parent commit.
+    """
+    out = _git("rev-parse", "--short", "HEAD")
+    if out is None or out.returncode != 0:
+        return "unknown"
+    rev = out.stdout.strip()
+    return f"{rev}+dirty" if _tree_dirty() else rev
 
 
 class _env:
@@ -115,7 +131,7 @@ class _env:
                 os.environ[key] = saved
 
 
-def run_scenario(name: str, mode: str = "auto",
+def run_scenario(name: str, mode: str = "incremental",
                  repeats: int = 1) -> BenchRow:
     """Time one scenario ``repeats`` times and keep the best wall time.
 
@@ -133,7 +149,7 @@ def run_scenario(name: str, mode: str = "auto",
 
     best: Optional[float] = None
     run: Optional[ScenarioRun] = None
-    with _env(REPRO_RECOMPUTE=mode):
+    with _env(REPRO_FULL_RECOMPUTE="1" if mode == "full" else "0"):
         for _ in range(repeats):
             start = time.perf_counter()
             this_run = scenario.execute()
@@ -160,44 +176,16 @@ def run_scenario(name: str, mode: str = "auto",
     )
 
 
-def profile_scenario(name: str, mode: str = "auto") -> dict:
-    """Run ``name`` once under the per-phase profiler; return the breakdown.
-
-    Profiled runs pay ~2 clock reads per event plus 2 per instrumented
-    sub-phase, so the timings here show the *shape* of a run, not
-    comparable absolute throughput — the plain rows stay unprofiled.
-    """
-    from repro.profiling import simprofile
-
-    scenario = SCENARIOS.get(name)
-    if scenario is None:
-        raise BenchError(
-            f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")
-    simprofile.activate()
-    try:
-        with _env(REPRO_RECOMPUTE=mode):
-            scenario.execute()
-    finally:
-        profiler = simprofile.deactivate()
-    assert profiler is not None
-    breakdown = profiler.breakdown()
-    breakdown["scenario"] = name
-    breakdown["mode"] = mode
-    breakdown["formatted"] = profiler.format()
-    return breakdown
-
-
 def run_bench(names: Optional[Sequence[str]] = None, *,
               compare: bool = False, repeats: int = 1) -> dict:
     """Run scenarios and return a schema-:data:`BENCH_SCHEMA` report.
 
-    With ``compare=True`` each scenario is run in both forced recompute
-    modes (incremental first, so the full mode inherits any warm
-    in-process caches — biasing *against* the incremental path's
-    speedup), the result hashes are asserted identical, per-scenario
-    speedups are reported, and ``recommended_modes`` records which mode
-    the measurement favours (the measured crossover behind the device's
-    ``auto`` default).
+    With ``compare=True`` each scenario is also run under the
+    full-recompute oracle (after the incremental row, so the full mode
+    inherits any warm in-process caches — biasing *against* the
+    incremental path's speedup), the result hashes are asserted
+    identical, per-scenario speedups are reported, and
+    ``recommended_modes`` records which mode the measurement favours.
     """
     names = list(names) if names else sorted(SCENARIOS)
     rows: list[BenchRow] = []
@@ -242,14 +230,8 @@ def write_report(report: dict, path: str | Path) -> Path:
 
 def _history_positions(root: Path) -> dict[str, int]:
     """Commit SHAs of ``root``'s first-parent history, oldest first."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-list", "--first-parent", "--reverse", "HEAD"],
-            capture_output=True, text=True, timeout=10, cwd=str(root),
-        )
-    except OSError:
-        return {}
-    if out.returncode != 0:
+    out = _git("rev-list", "--first-parent", "--reverse", "HEAD", cwd=root)
+    if out is None or out.returncode != 0:
         return {}
     return {sha: index for index, sha in enumerate(out.stdout.split())}
 
@@ -262,7 +244,9 @@ def default_baseline_path(root: Optional[Path] = None) -> Optional[Path]:
     candidate's embedded ``rev`` is ranked by its position in the repo's
     first-parent history, falling back to ``(schema, filename)`` for
     revs outside the history (or without git), so the same working tree
-    always picks the same baseline.  Unreadable candidates rank last.
+    always picks the same baseline.  A ``<sha>+dirty`` rev (measured on
+    uncommitted changes on top of ``<sha>``) ranks above ``<sha>`` and
+    below its first-parent child.  Unreadable candidates rank last.
     An explicit ``--check`` path always overrides this discovery.
     """
     if root is None:
@@ -281,11 +265,14 @@ def default_baseline_path(root: Optional[Path] = None) -> Optional[Path]:
         except (OSError, ValueError):
             return (-1, -1, -1, path.name)
         rev = str(payload.get("rev", ""))
+        dirty = rev.endswith("+dirty")
+        if dirty:
+            rev = rev[:-len("+dirty")]
         position = -1
         if rev and rev != "unknown":
             for sha, index in history.items():
                 if sha.startswith(rev):
-                    position = index
+                    position = 2 * index + dirty
                     break
         schema = payload.get("schema")
         if not isinstance(schema, int):
@@ -324,7 +311,9 @@ def check_report(report: dict, baseline: dict, *,
     whose wall time regressed more than ``max_regression`` (fractional)
     over the baseline row, plus schema problems.  An empty list means
     the gate passes.  Rows present on only one side are ignored (new
-    scenarios must be benchable before they are gateable).
+    scenarios must be benchable before they are gateable), but a report
+    sharing no (scenario, mode) row with the baseline fails: a gate that
+    compares nothing must not pass.
     """
     failures: list[str] = []
     if baseline.get("schema") != report.get("schema"):
@@ -334,9 +323,13 @@ def check_report(report: dict, baseline: dict, *,
         return failures
     base_rows = {(r.get("scenario"), r.get("mode")): r
                  for r in baseline.get("rows", []) if isinstance(r, dict)}
+    matched = 0
     for row in report.get("rows", []):
         base = base_rows.get((row.get("scenario"), row.get("mode")))
-        if base is None or base.get("wall_s") is None:
+        if base is None:
+            continue
+        matched += 1
+        if base.get("wall_s") is None:
             continue
         limit = base["wall_s"] * (1.0 + max_regression)
         if row["wall_s"] > limit:
@@ -344,4 +337,6 @@ def check_report(report: dict, baseline: dict, *,
                 f"{row['scenario']}/{row['mode']}: wall {row['wall_s']:.3f}s "
                 f"exceeds baseline {base['wall_s']:.3f}s "
                 f"+{max_regression:.0%} (limit {limit:.3f}s)")
+    if not matched:
+        failures.append("no row comparable with the baseline")
     return failures

@@ -23,8 +23,8 @@ incremental-recompute work targets:
     counters, no DES at all.  Isolates the allocator.
 ``maskgen-pooled``
     The identical request stream served from the ECLIP-style mask pools
-    (:mod:`repro.core.pools`) — profiled side by side with ``maskgen``,
-    the allocator-phase delta is the pooled policy's overhead win.
+    (:mod:`repro.core.pools`) — timed side by side with ``maskgen``,
+    the wall-time delta is the pooled policy's overhead win.
 """
 
 from __future__ import annotations
@@ -136,29 +136,17 @@ def _churn_masks(allocator, iterations: int = 60_000) -> ScenarioRun:
 
     ``allocator`` is anything with ``generate(num_cus, counters)`` over
     the mi50 topology.  Both scenarios draw the identical request stream
-    (same RNG label), so ``bench --profile maskgen maskgen-pooled``
-    compares allocator-phase time on the same workload.  The per-mask
-    work is timed into the profiler's ``allocator`` phase; with the
-    profiler inactive the loop body is the historical one (the pinned
-    maskgen hash is unchanged).
+    (same RNG label), so ``bench maskgen maskgen-pooled`` compares the
+    two allocators on the same workload.
     """
-    from repro.profiling import simprofile
-
     topology = allocator.topology
     counters = CUKernelCounters(topology)
     rng = RngRegistry(seed=0).stream("bench/maskgen")
     live: deque = deque()
     digest = hashlib.sha256()
-    profiler = simprofile._ACTIVE
-    if profiler is not None:
-        from time import perf_counter
     for _ in range(iterations):
         num_cus = int(rng.integers(1, topology.total_cus + 1))
-        if profiler is not None:
-            t0 = perf_counter()
         mask = allocator.generate(num_cus, counters)
-        if profiler is not None:
-            profiler.add("allocator", perf_counter() - t0)
         counters.assign(mask)
         live.append(mask)
         digest.update(mask.bits.to_bytes(16, "little"))

@@ -45,7 +45,7 @@ __all__ = [
     "check_cache_replay",
     "check_experiment_invariants",
     "check_pool_modes",
-    "check_recompute_modes",
+    "check_recompute_oracle",
 ]
 
 
@@ -63,7 +63,7 @@ def _faults(scenario: Scenario, config):
             if scenario.faults_for is not None else None)
 
 
-def check_recompute_modes(name: str) -> tuple[list[str], dict[str, Any]]:
+def check_recompute_oracle(name: str) -> tuple[list[str], dict[str, Any]]:
     """Incremental vs full-recompute result hashes for one scenario."""
     rows = {mode: run_scenario(name, mode)
             for mode in ("incremental", "full")}
@@ -104,7 +104,7 @@ def check_allocation_modes(name: str, allocation: str,
         violations.extend(request_conservation(setup, injector))
 
     for mode in ("incremental", "full"):
-        with _env(REPRO_RECOMPUTE=mode):
+        with _env(REPRO_FULL_RECOMPUTE="1" if mode == "full" else "0"):
             result = run_experiment(
                 config,
                 RunOptions(faults=faults, guard=scenario.guard,

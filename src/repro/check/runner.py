@@ -32,7 +32,7 @@ from repro.check.differential import (
     check_cache_replay,
     check_experiment_invariants,
     check_pool_modes,
-    check_recompute_modes,
+    check_recompute_oracle,
 )
 from repro.check.emulation import check_emulation_correction
 from repro.check.invariants import (
@@ -134,7 +134,7 @@ def _scenario_checks(names: Iterable[str],
                          name, allocation=allocation, sizing=sizing)))
             continue
         checks.append((f"modes:{name}",
-                       lambda name=name: check_recompute_modes(name)))
+                       lambda name=name: check_recompute_oracle(name)))
         if name in _FULL_TREATMENT and SCENARIOS[name].config is not None:
             checks.append((f"pool:{name}",
                            lambda name=name: check_pool_modes(name)))

@@ -525,7 +525,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.bench import (
         SCENARIOS, BenchError, baseline_deltas, check_report,
-        default_baseline_path, profile_scenario, run_bench, write_report)
+        default_baseline_path, run_bench, write_report)
 
     if args.list:
         for name in sorted(SCENARIOS):
@@ -533,20 +533,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
 
     names = args.scenarios or sorted(SCENARIOS)
-
-    if args.profile:
-        # Profiled throughput is not comparable with plain rows (clock
-        # reads per event), so --profile prints the per-phase shape
-        # instead of timing rows.
-        try:
-            for name in names:
-                breakdown = profile_scenario(name)
-                print(f"-- {name} --")
-                print(breakdown["formatted"])
-        except BenchError as exc:
-            print(f"bench failed: {exc}", file=sys.stderr)
-            return 1
-        return 0
 
     try:
         report = run_bench(names, compare=args.compare, repeats=args.repeat)
@@ -1037,13 +1023,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeat", "-r", type=int, default=1,
                        help="repeats per row (best wall time wins)")
     bench.add_argument("--compare", action="store_true",
-                       help="also run the forced full-recompute oracle, "
+                       help="also run the full-recompute oracle, "
                             "assert bit-identical hashes, report speedups "
                             "and deltas vs the newest committed "
                             "BENCH_*.json")
-    bench.add_argument("--profile", action="store_true",
-                       help="print a per-phase wall-time breakdown per "
-                            "scenario instead of timing rows")
     bench.add_argument("--check", default=None,
                        help="baseline report JSON to gate wall-time "
                             "regressions against")

@@ -76,10 +76,6 @@ class KrispAllocator:
         #: Launches served through the degraded fallback mask because
         #: Algorithm 1 raised instead of producing a mask.
         self.degraded = 0
-        # Lazy import: repro.profiling's package init pulls in the model
-        # profiler, which imports the engine (circular at module level).
-        from repro.profiling import simprofile
-        self._simprofile = simprofile
 
     def allocate(self, launch: KernelLaunch, device: GpuDevice) -> CUMask:
         """Generate this kernel's resource mask from the live counters.
@@ -90,10 +86,6 @@ class KrispAllocator:
         killing the serving path (graceful degradation; counted in
         ``degraded`` and visible as a ``mask-fallback`` trace instant).
         """
-        profiler = self._simprofile._ACTIVE
-        if profiler is not None:
-            from time import perf_counter
-            t0 = perf_counter()
         requested = launch.requested_cus
         if requested is None:
             requested = device.topology.total_cus
@@ -111,8 +103,6 @@ class KrispAllocator:
         self.allocations += 1
         if mask.count() < min(requested, device.topology.total_cus):
             self.short_allocations += 1
-        if profiler is not None:
-            profiler.add("allocator", perf_counter() - t0)
         return mask
 
 

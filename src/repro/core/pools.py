@@ -181,10 +181,6 @@ class PooledMaskAllocator:
         }
         self._repack_cursor: dict[int, int] = {
             cls: 0 for cls in self.size_classes}
-        # Lazy import: repro.profiling's package init pulls in the model
-        # profiler, which imports the engine (circular at module level).
-        from repro.profiling import simprofile
-        self._simprofile = simprofile
 
     _SELECT_CACHE_MAX = 1 << 16
 
@@ -373,10 +369,6 @@ class PooledMaskAllocator:
         degradation path: a failure inside selection serves the full
         device and traces a ``mask-fallback`` instant.
         """
-        profiler = self._simprofile._ACTIVE
-        if profiler is not None:
-            from time import perf_counter
-            t0 = perf_counter()
         requested = launch.requested_cus
         if requested is None:
             requested = device.topology.total_cus
@@ -395,8 +387,6 @@ class PooledMaskAllocator:
         self.allocations += 1
         if mask.count() < min(requested, device.topology.total_cus):
             self.short_allocations += 1
-        if profiler is not None:
-            profiler.add("allocator", perf_counter() - t0)
         return mask
 
 

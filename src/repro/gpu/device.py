@@ -26,9 +26,12 @@ fault scale changed) the records the changed term can reach.
 ``_effective_latency`` depends solely on ``residents[cu]`` over the
 record's own CUs, the total bandwidth demand, and the fault scales, so
 recomputing only the dirty set yields the byte-identical float sequence
-of the full O(all-residents) sweep.  Set ``REPRO_FULL_RECOMPUTE=1`` (or
-construct ``GpuDevice(full_recompute=True)``) to force the full sweep —
-the validation oracle the property tests compare against.
+of the full O(all-residents) sweep.  Once the dirty set covers at least
+half the residents the device sweeps them all instead (cheaper than
+sorting the set, and bit-identical).  ``GpuDevice(full_recompute=True)``
+(default: the ``REPRO_FULL_RECOMPUTE`` environment flag) forces the full
+sweep and the meter rescan on every change — the validation oracle the
+property tests compare against.
 
 Every state change commits eagerly: the affected rates are recomputed
 and their completions rescheduled before the launch or retirement
@@ -118,7 +121,6 @@ class GpuDevice:
         power_model: Optional[PowerModel] = None,
         record_trace: bool = False,
         full_recompute: Optional[bool] = None,
-        recompute: Optional[str] = None,
     ) -> None:
         self.sim = sim
         self.topology = topology or GpuTopology.mi50()
@@ -139,34 +141,18 @@ class GpuDevice:
         self._residents = self.counters.counts_view()
         self._total_demand = 0.0
         # ``full_recompute=None`` defers to the REPRO_FULL_RECOMPUTE env
-        # flag; truthy selects the O(all-residents) sweep on every state
-        # change (the validation oracle for the incremental path).
+        # flag; true selects the O(all-residents) sweep and the meter
+        # rescan on every state change (the validation oracle for the
+        # incremental path).  The flag is strict, so a typo such as
+        # ``no`` cannot silently select the oracle.
         if full_recompute is None:
-            flag = os.environ.get("REPRO_FULL_RECOMPUTE", "")
-            full_recompute = flag.lower() not in ("", "0", "false")
-        # Recompute-mode selection (all three compute byte-identical
-        # floats; they differ only in which records they *visit*):
-        #   auto        — dirty-set recompute below the measured crossover,
-        #                 full sweep above it (the default);
-        #   incremental — always the dirty-set path;
-        #   full        — always the full sweep (equals full_recompute,
-        #                 which additionally rescans the meter aggregates
-        #                 as the validation oracle).
-        if recompute is None:
-            recompute = os.environ.get("REPRO_RECOMPUTE", "") or "auto"
-        if recompute not in ("auto", "incremental", "full"):
-            raise ValueError(
-                f"unknown recompute mode {recompute!r}; expected "
-                "'auto', 'incremental', or 'full'")
-        if recompute == "full":
-            full_recompute = True
-        self.recompute_mode = recompute
+            flag = os.environ.get("REPRO_FULL_RECOMPUTE", "").lower()
+            if flag not in ("", "0", "false", "1", "true"):
+                raise ValueError(
+                    f"REPRO_FULL_RECOMPUTE={flag!r}: expected unset, "
+                    "'', 0, 1, false or true")
+            full_recompute = flag in ("1", "true")
         self.full_recompute = full_recompute
-        self._force_incremental = recompute == "incremental"
-        # The profiler module is imported lazily (the profiling package's
-        # init pulls in modules that import this one).
-        from repro.profiling import simprofile
-        self._simprofile = simprofile
         # Incremental-recompute state, keyed by per-device launch seq
         # numbers: CU → resident seq numbers, the seq numbers with
         # positive bandwidth demand (the reach of the over-budget
@@ -439,10 +425,6 @@ class GpuDevice:
         last = self._last_advance
         if now == last:
             return
-        profiler = self._simprofile._ACTIVE
-        if profiler is not None:
-            from time import perf_counter
-            t0 = perf_counter()
         self._last_advance = now
         # Invariant: every resident was last credited at ``last`` (launch
         # and retire both advance first), so the elapsed term is shared
@@ -455,8 +437,6 @@ class GpuDevice:
             if lat > 0:
                 progress = record.progress + elapsed / lat
                 record.progress = 1.0 if progress > 1.0 else progress
-        if profiler is not None:
-            profiler.add("progress_advance", perf_counter() - t0)
 
     def _regime_crossed(self, old_total: float, new_total: float) -> bool:
         """Whether a total-demand change can reach any resident's latency.
@@ -494,10 +474,6 @@ class GpuDevice:
         identical sequence of ``schedule`` calls and the event seq
         numbers (the deterministic tie-breakers) coincide.
         """
-        profiler = self._simprofile._ACTIVE
-        if profiler is not None:
-            from time import perf_counter
-            t0 = perf_counter()
         running = self._running
         # Crossover to the full sweep once the dirty set covers at least
         # half the residents: sorted(dirty) + per-record dict lookups
@@ -505,9 +481,8 @@ class GpuDevice:
         # incremental path's win on the colo4/maskgen bench shapes was
         # negative at ~90% dirty).  Both paths visit the same records in
         # the same relative order, so the switch is bit-identical.
-        if dirty is None or self.full_recompute \
-                or (len(dirty) * 2 >= len(running)
-                    and not self._force_incremental):
+        if (dirty is None or self.full_recompute
+                or len(dirty) * 2 >= len(running)):
             self._recompute_rates(running.values())
         else:
             # Dirty entries are per-device seq numbers, so a plain int
@@ -520,8 +495,6 @@ class GpuDevice:
                 self._recompute_rates(
                     map(running.__getitem__, sorted(dirty)))
         self._commit_meter()
-        if profiler is not None:
-            profiler.add("rate_recompute", perf_counter() - t0)
 
     def _apply_occupied(self, per_se: tuple[int, ...], sign: int) -> None:
         """Fold one record's occupied-CU shape into the meter aggregates.

@@ -63,10 +63,6 @@ class SimSampler:
         self.interval = interval
         self.prefix = prefix
         self.stop_time: Optional[float] = None
-        # Lazy import: repro.profiling's package init pulls in the model
-        # profiler, which imports the engine (circular at module level).
-        from repro.profiling import simprofile
-        self._simprofile = simprofile
 
         topology = device.topology
         self._occupancy = registry.gauge(
@@ -118,10 +114,6 @@ class SimSampler:
 
     def sample(self) -> None:
         """Take one snapshot at the current simulated time."""
-        profiler = self._simprofile._ACTIVE
-        if profiler is not None:
-            from time import perf_counter
-            t0 = perf_counter()
         device = self.device
         counters = device.counters
         busy = counters.busy_cus()
@@ -149,5 +141,3 @@ class SimSampler:
             tracer.counter_sample("cu_occupancy", busy)
             tracer.counter_sample("running_kernels", device.running_count())
             tracer.counter_sample("mem_bw_pressure", round(pressure, 6))
-        if profiler is not None:
-            profiler.add("observability", perf_counter() - t0)

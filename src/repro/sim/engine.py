@@ -295,21 +295,21 @@ class Simulator:
         event/callback object churn otherwise triggers thousands of
         gen-0 collections); reference counting still reclaims the
         transient objects, and the collector is restored on exit.
+
+        ``max_events`` caps the callbacks executed (``0`` runs none); a
+        negative cap raises :class:`SimulationError`.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"max_events must be >= 0, got {max_events}")
         self._running = True
         self._stopped = False
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            from repro.profiling import simprofile
-            profiler = simprofile._ACTIVE
-            if profiler is not None:
-                self._run_profiled(until, max_events, profiler)
-            else:
-                self._run_heap(until, max_events)
+            self._run_heap(until, max_events)
         finally:
             try:
                 self._flush()
@@ -333,6 +333,8 @@ class Simulator:
         boundaries — events still execute strictly in ``(time, priority,
         seq)`` order; only the flush points are new.
         """
+        if max_events == 0:
+            return
         heap = self._heap
         pop = heapq.heappop
         hooks = self._flush_hooks
@@ -391,46 +393,6 @@ class Simulator:
             # counters mid-run).
             self.events_executed += executed
             self.batches_drained += batches
-
-    def _run_profiled(self, until: Optional[float],
-                      max_events: Optional[int], profiler) -> None:
-        """The ``bench --profile`` loop: :meth:`_run_heap`'s semantics,
-        plus two clock reads per event charged to ``profiler``."""
-        from time import perf_counter as clock
-
-        executed = 0
-        if max_events is not None and max_events <= 0:
-            return
-        while not self._stopped:
-            t0 = clock()
-            entry = self._peek_entry()
-            if entry is None or (until is not None and entry[0] > until):
-                break
-            t = entry[0]
-            self._now = t
-            self.batches_drained += 1
-            while True:
-                event = self._pop()
-                self.events_executed += 1
-                executed += 1
-                t1 = clock()
-                profiler.add("event_pop", t1 - t0)
-                event.callback()
-                t0 = clock()
-                profiler.add("callback", t0 - t1)
-                profiler.events += 1
-                if self._stopped or (max_events is not None
-                                     and executed >= max_events):
-                    return
-                entry = self._peek_entry()
-                if entry is not None and entry[0] == t:
-                    continue
-                if self._flush_hooks:
-                    self._flush()
-                    entry = self._peek_entry()
-                    if entry is not None and entry[0] == t:
-                        continue
-                break
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1)."""

@@ -11,6 +11,7 @@ mtime), and every comparison degrades to the keys both sides share.
 
 import json
 import os
+import subprocess
 
 from repro.bench.runner import (
     baseline_deltas,
@@ -24,7 +25,7 @@ def _write(path, payload):
     return path
 
 
-def _row(scenario="colo4", mode="auto", wall=1.0, eps=1000.0, **extra):
+def _row(scenario="colo4", mode="incremental", wall=1.0, eps=1000.0, **extra):
     return {"scenario": scenario, "mode": mode, "wall_s": wall,
             "events_per_s": eps, **extra}
 
@@ -89,12 +90,12 @@ def test_deltas_tolerate_legacy_schema1_rows():
     # Schema-1 rows: no batches/queue keys, plus outright junk rows.
     baseline = {"schema": 1, "rows": [
         _row(eps=1000.0),
-        {"scenario": "dense", "mode": "auto"},  # no events_per_s
+        {"scenario": "dense", "mode": "incremental"},  # no events_per_s
         "junk",
         {"events_per_s": 100.0},  # no scenario/mode
     ]}
     deltas = baseline_deltas(report, baseline)
-    assert deltas == {"colo4/auto": 2.0}
+    assert deltas == {"colo4/incremental": 2.0}
 
 
 def test_deltas_tolerate_empty_documents():
@@ -112,7 +113,7 @@ def test_check_report_schema_mismatch_fails_early():
 def test_check_report_skips_rows_missing_wall():
     report = {"schema": 2, "rows": [_row(wall=10.0)]}
     baseline = {"schema": 2, "rows": [
-        {"scenario": "colo4", "mode": "auto"},  # no wall_s: skipped
+        {"scenario": "colo4", "mode": "incremental"},  # no wall_s: skipped
     ]}
     assert check_report(report, baseline) == []
 
@@ -122,4 +123,50 @@ def test_check_report_still_catches_regressions():
     baseline = {"schema": 2, "rows": [_row(wall=1.0)]}
     failures = check_report(report, baseline, max_regression=0.3)
     assert len(failures) == 1
-    assert "colo4/auto" in failures[0]
+    assert "colo4/incremental" in failures[0]
+
+
+def test_check_report_fails_when_no_row_is_comparable():
+    # A mode relabel (or a different scenario set) leaves the report
+    # sharing no (scenario, mode) row with the baseline; the gate used
+    # to pass silently because it had compared nothing.
+    report = {"schema": 2, "rows": [_row(mode="incremental", wall=9.0)]}
+    baseline = {"schema": 2, "rows": [_row(mode="auto", wall=1.0),
+                                      _row(scenario="dense", wall=1.0)]}
+    assert check_report(report, baseline) == [
+        "no row comparable with the baseline"]
+    assert check_report({"schema": 2, "rows": []}, baseline) == [
+        "no row comparable with the baseline"]
+
+
+def test_git_rev_marks_a_dirty_tree(monkeypatch):
+    import repro.bench.runner as runner
+
+    monkeypatch.setattr(
+        runner, "_git", lambda *args, cwd=None: subprocess.CompletedProcess(
+            args, 0, stdout="abc1234\n"))
+    monkeypatch.setattr(runner, "_tree_dirty", lambda: False)
+    assert runner._git_rev() == "abc1234"
+    monkeypatch.setattr(runner, "_tree_dirty", lambda: True)
+    assert runner._git_rev() == "abc1234+dirty"
+
+
+def test_dirty_rev_ranks_between_its_commit_and_the_child(tmp_path,
+                                                         monkeypatch):
+    # BENCH_<X>+dirty was measured on uncommitted changes on top of X,
+    # so it is newer than X's own report and older than X's child's.
+    import repro.bench.runner as runner
+
+    monkeypatch.setattr(runner, "_history_positions",
+                        lambda root: {"0123456789ab": 0, "fedcba987654": 1})
+    parent = _write(tmp_path / "BENCH_0123456.json",
+                    {"schema": 2, "rev": "0123456", "rows": []})
+    dirty = _write(tmp_path / "BENCH_0123456+dirty.json",
+                   {"schema": 2, "rev": "0123456+dirty", "rows": []})
+    child = _write(tmp_path / "BENCH_fedcba9.json",
+                   {"schema": 2, "rev": "fedcba9", "rows": []})
+    assert default_baseline_path(tmp_path) == child
+    child.unlink()
+    assert default_baseline_path(tmp_path) == dirty
+    dirty.unlink()
+    assert default_baseline_path(tmp_path) == parent

@@ -11,6 +11,8 @@ times, plus the device's own :meth:`GpuDevice.check_rate_invariant`
 
 import math
 
+import pytest
+
 from repro.gpu.cu_mask import CUMask
 from repro.gpu.device import GpuDevice
 from repro.gpu.kernel import KernelDescriptor, KernelLaunch
@@ -105,7 +107,17 @@ def test_env_flag_selects_full_mode(monkeypatch):
     assert GpuDevice(sim).full_recompute is False
     monkeypatch.delenv("REPRO_FULL_RECOMPUTE")
     assert GpuDevice(sim).full_recompute is False
+    for value, expected in (("", False), ("false", False), ("FALSE", False),
+                            ("true", True), ("True", True)):
+        monkeypatch.setenv("REPRO_FULL_RECOMPUTE", value)
+        assert GpuDevice(sim).full_recompute is expected, value
+    # Anything else fails loudly instead of silently picking the oracle.
+    for value in ("no", "off", "yes", "2"):
+        monkeypatch.setenv("REPRO_FULL_RECOMPUTE", value)
+        with pytest.raises(ValueError, match="REPRO_FULL_RECOMPUTE"):
+            GpuDevice(sim)
     # The explicit constructor argument wins over the environment.
+    assert GpuDevice(sim, full_recompute=True).full_recompute is True
     monkeypatch.setenv("REPRO_FULL_RECOMPUTE", "1")
     assert GpuDevice(sim, full_recompute=False).full_recompute is False
 

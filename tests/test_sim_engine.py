@@ -96,6 +96,22 @@ def test_max_events_limit():
     assert sim.events_executed == 3
 
 
+def test_max_events_zero_runs_nothing_and_negative_raises():
+    sim = Simulator()
+    ran = []
+    for i in range(3):
+        sim.schedule(float(i), lambda i=i: ran.append(i))
+    sim.run(max_events=0)
+    assert ran == []
+    assert sim.events_executed == 0
+    with pytest.raises(SimulationError, match="max_events"):
+        sim.run(max_events=-5)
+    assert ran == []
+    # The rejected call left the engine usable.
+    sim.run()
+    assert ran == [0, 1, 2]
+
+
 def test_peek_skips_cancelled():
     sim = Simulator()
     e1 = sim.schedule(1.0, lambda: None)

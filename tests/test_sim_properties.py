@@ -1,8 +1,9 @@
 """Property tests: the sim core's bit-identity contract.
 
-The device's rate recompute ({incremental, full}) is a pure
-implementation detail: both modes must drain the same events in the same
-order and produce the identical float sequence.  These tests drive
+The device's rate recompute (the incremental production path vs the
+``full_recompute=True`` oracle) is a pure implementation detail: both
+modes must drain the same events in the same order and produce the
+identical float sequence.  These tests drive
 randomly generated launch / retire / fault / time-advance programs
 (hypothesis-shrinkable, so a violation minimises to a small program)
 through both modes and require byte-identical completion order, per-step
@@ -39,8 +40,9 @@ DESCRIPTORS = (
 
 _TOTAL_CUS = GpuTopology.mi50().total_cus
 
-#: The recompute modes every program must agree across.
-UNIVERSES = ("incremental", "full")
+#: The ``full_recompute`` settings every program must agree across:
+#: the production path, then the full-sweep oracle.
+UNIVERSES = (False, True)
 
 # -- program generation -------------------------------------------------------
 
@@ -73,11 +75,11 @@ _step = st.one_of(_launch, _launch, _advance, _advance,
 programs = st.lists(_step, min_size=30, max_size=200)
 
 
-def _drive(program, recompute: str):
+def _drive(program, full_recompute: bool):
     """Replay ``program`` in one recompute mode; return its observable
     record."""
     sim = Simulator()
-    device = GpuDevice(sim, recompute=recompute)
+    device = GpuDevice(sim, full_recompute=full_recompute)
     topology = device.topology
     completions: list[tuple[str, float]] = []
     live = [0]
