@@ -1,6 +1,6 @@
 """Attribution-conservation audit: recorder purity + exact decomposition.
 
-Two laws, checked on the pinned bench cells:
+Two laws, checked on the pinned scenario cells:
 
 *Recorder purity.*  Attaching a :class:`~repro.obs.flight.FlightRecorder`
 is pure observation — the experiment's
@@ -25,7 +25,7 @@ __all__ = ["check_attribution_conservation"]
 
 def check_attribution_conservation() -> tuple[list[str], dict[str, Any]]:
     """Recorder purity + exact-conservation laws on the pinned cells."""
-    from repro.bench.scenarios import (
+    from repro.check.scenarios import (
         CHAOS_CONFIG,
         CHAOS_GUARD,
         COLO4_CONFIG,

@@ -1,15 +1,15 @@
-"""Differential replays of the pinned bench scenarios.
+"""Differential replays of the pinned scenarios.
 
 Determinism is the simulator's load-bearing property: the incremental
 rate recompute, the process-pool sweep, and the content-addressed cache
 all promise *byte-identical* results against their slower counterparts.
 Each checker here replays one pinned scenario (from
-:mod:`repro.bench.scenarios`) through two execution paths and compares
+:mod:`repro.check.scenarios`) through two execution paths and compares
 :func:`repro.exp.cache.result_hash` digests:
 
 ``modes``
     incremental dirty-set recompute vs the ``REPRO_FULL_RECOMPUTE=1``
-    full-sweep oracle (reusing the bench runner's mode toggling).
+    full-sweep oracle, each held to the scenario's pinned hash.
 ``pool``
     serial in-process sweep (``jobs=1``) vs a two-process pool over the
     scenario cell plus a seed-perturbed sibling, cache off.
@@ -25,15 +25,16 @@ Each checker here replays one pinned scenario (from
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
-from repro.bench.runner import run_scenario
-from repro.bench.scenarios import SCENARIOS, Scenario
 from repro.check.invariants import request_conservation
+from repro.check.scenarios import SCENARIOS, Scenario
 from repro.exp.cache import ContentStore, result_hash
 from repro.exp.cells import cached_run_experiment
 from repro.exp.sweep import run_sweep
@@ -63,17 +64,44 @@ def _faults(scenario: Scenario, config):
             if scenario.faults_for is not None else None)
 
 
+@contextmanager
+def _recompute_mode(mode: str) -> Iterator[None]:
+    """Build devices in ``mode`` (``incremental`` or ``full``) inside the
+    block by setting ``REPRO_FULL_RECOMPUTE``; restores it on exit."""
+    saved = os.environ.get("REPRO_FULL_RECOMPUTE")
+    os.environ["REPRO_FULL_RECOMPUTE"] = "1" if mode == "full" else "0"
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_FULL_RECOMPUTE", None)
+        else:
+            os.environ["REPRO_FULL_RECOMPUTE"] = saved
+
+
 def check_recompute_oracle(name: str) -> tuple[list[str], dict[str, Any]]:
-    """Incremental vs full-recompute result hashes for one scenario."""
-    rows = {mode: run_scenario(name, mode)
-            for mode in ("incremental", "full")}
-    details = {mode: row.result_hash for mode, row in rows.items()}
-    if rows["incremental"].result_hash != rows["full"].result_hash:
-        return ([
-            f"{name}: incremental hash {rows['incremental'].result_hash} "
-            f"!= full-recompute hash {rows['full'].result_hash}"
-        ], details)
-    return [], details
+    """Incremental and full-recompute result hashes vs the scenario pin.
+
+    Non-DES scenarios (maskgen) build no device, so the recompute mode
+    cannot reach them: they run once, against the pin alone.
+    """
+    scenario = _scenario(name)
+    hashes: dict[str, str] = {}
+    if scenario.config is None:
+        hashes["run"] = scenario.execute().result_hash
+    else:
+        for mode in ("incremental", "full"):
+            with _recompute_mode(mode):
+                hashes[mode] = scenario.execute().result_hash
+    violations = [f"{name}: {label} hash {digest} != pinned hash "
+                  f"{scenario.pin}"
+                  for label, digest in hashes.items()
+                  if digest != scenario.pin]
+    if len(set(hashes.values())) > 1:
+        violations.append(
+            f"{name}: incremental hash {hashes['incremental']} "
+            f"!= full-recompute hash {hashes['full']}")
+    return violations, {"pin": scenario.pin, **hashes}
 
 
 def check_allocation_modes(name: str, allocation: str,
@@ -85,12 +113,10 @@ def check_allocation_modes(name: str, allocation: str,
     closure, which cannot change allocation policy — so this check
     rebuilds the cell with the requested ``allocation``/``sizing`` and
     runs it through both recompute modes directly, asserting the
-    bit-identity contract holds for the new policies too.  The run is
-    audited (device self-audit + request conservation) on the
-    incremental pass.
+    bit-identity contract holds for the new policies too (no pin: the
+    rebuilt cell is not a pinned scenario).  The run is audited (device
+    self-audit + request conservation) on the incremental pass.
     """
-    from repro.bench.runner import _env
-
     scenario = _scenario(name)
     if scenario.config is None:
         raise ValueError(f"scenario {name!r} has no experiment config")
@@ -104,7 +130,7 @@ def check_allocation_modes(name: str, allocation: str,
         violations.extend(request_conservation(setup, injector))
 
     for mode in ("incremental", "full"):
-        with _env(REPRO_FULL_RECOMPUTE="1" if mode == "full" else "0"):
+        with _recompute_mode(mode):
             result = run_experiment(
                 config,
                 RunOptions(faults=faults, guard=scenario.guard,

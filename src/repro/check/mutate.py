@@ -17,12 +17,16 @@ mutation                   caught by
 ``skew-mask-shape``        Algorithm-1 active-SE law (L3)
 ``tamper-cached-result``   cached-vs-fresh differential hash
 ``drop-enqueue-count``     request-conservation identity
+``scale-kernel-latency``   ``colo4``'s pinned hash (both modes agree)
 =========================  ============================================
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import shutil
+import tempfile
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
@@ -31,6 +35,8 @@ from repro.exp.cache import ContentStore
 from repro.gpu.counters import CUKernelCounters
 from repro.gpu.cu_mask import CUMask
 from repro.gpu.device import GpuDevice
+from repro.server.experiment import _isolated_pass_latency, isolated_baseline
+from repro.server.profiles import model_right_size
 from repro.server.request import RequestQueue
 
 __all__ = ["MUTATIONS", "Mutation"]
@@ -153,6 +159,38 @@ def _drop_enqueue_count() -> Iterator[None]:
         RequestQueue.put = original
 
 
+@contextmanager
+def _scale_kernel_latency() -> Iterator[None]:
+    """Every kernel runs 0.1% slower, on both recompute paths alike.
+
+    The incremental and full-sweep modes still agree, so only the
+    scenario pin can catch it.  The patched run writes to a throwaway
+    cache root and the memos it may fill are cleared on exit, so no
+    scaled latency outlives the mutation.
+    """
+    original = GpuDevice._effective_latency
+
+    def mutated(self, record):
+        return original(self, record) * 1.001
+
+    saved_root = os.environ.get("REPRO_CACHE_DIR")
+    scratch = tempfile.mkdtemp(prefix="repro-mutate-")
+    os.environ["REPRO_CACHE_DIR"] = scratch
+    GpuDevice._effective_latency = mutated
+    try:
+        yield
+    finally:
+        GpuDevice._effective_latency = original
+        if saved_root is None:
+            os.environ.pop("REPRO_CACHE_DIR", None)
+        else:
+            os.environ["REPRO_CACHE_DIR"] = saved_root
+        shutil.rmtree(scratch, ignore_errors=True)
+        for memo in (_isolated_pass_latency, isolated_baseline,
+                     model_right_size):
+            memo.cache_clear()
+
+
 def _device_check() -> list[str]:
     # Incremental mode pinned explicitly: the dropped dirty entry only
     # exists on the incremental path.
@@ -174,6 +212,11 @@ def _cache_check() -> list[str]:
 def _conservation_check() -> list[str]:
     from repro.check.differential import check_experiment_invariants
     return check_experiment_invariants("colo4")[0]
+
+
+def _pin_check() -> list[str]:
+    from repro.check.differential import check_recompute_oracle
+    return check_recompute_oracle("colo4")[0]
 
 
 MUTATIONS: tuple[Mutation, ...] = (
@@ -206,5 +249,11 @@ MUTATIONS: tuple[Mutation, ...] = (
         "queue admissions go uncounted",
         _drop_enqueue_count,
         _conservation_check,
+    ),
+    Mutation(
+        "scale-kernel-latency",
+        "every kernel latency is scaled by 1.001 in both recompute modes",
+        _scale_kernel_latency,
+        _pin_check,
     ),
 )

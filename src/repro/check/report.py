@@ -3,8 +3,8 @@
 Every checker in :mod:`repro.check` returns a list of human-readable
 violation strings (empty = clean); the runner wraps each into a
 :class:`CheckResult` and collects them into a :class:`CheckReport` the
-CLI can print or serialise.  The JSON payload is schema-versioned like
-the bench rows, so downstream tooling can detect format changes.
+CLI can print or serialise.  The JSON payload is schema-versioned, so
+downstream tooling can detect format changes.
 """
 
 from __future__ import annotations

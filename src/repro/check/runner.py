@@ -25,7 +25,6 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from repro.bench.scenarios import SCENARIOS
 from repro.check.attribution import check_attribution_conservation
 from repro.check.differential import (
     check_allocation_modes,
@@ -43,6 +42,7 @@ from repro.check.invariants import (
 from repro.check.metamorphic import check_mask_growth, check_overlap_limit_law
 from repro.check.mutate import MUTATIONS
 from repro.check.report import CheckReport, CheckResult
+from repro.check.scenarios import SCENARIOS
 
 __all__ = ["DEFAULT_SCENARIOS", "available_checks", "run_checks",
            "run_mutate_smoke"]

@@ -1,10 +1,9 @@
-"""Pinned benchmark scenarios for the simulator core.
+"""Pinned scenarios for the simulator's determinism checks.
 
-Each scenario is a fixed, fully deterministic workload whose result can
-be content-hashed, so a bench row proves two things at once: how fast
-the simulator ran *and* that the optimisation being measured did not
-change a single float.  The roster covers the three hot paths the
-incremental-recompute work targets:
+Each scenario is a fixed, fully deterministic workload whose result is
+content-hashed and pinned: ``krisp-repro check`` replays every scenario
+in both recompute modes (``modes:<scenario>``) and fails when either
+hash leaves its pin.  The roster covers the simulator's hot paths:
 
 ``colo4``
     The classic 4-worker co-location cell (a fig13a-shaped workload) at
@@ -12,8 +11,7 @@ incremental-recompute work targets:
 ``dense``
     A 48-worker KRISP-I cell at batch 1: ~45 resident kernels sharing
     60 CUs, the regime where the full O(all-residents) rate sweep is
-    maximally wasteful.  This is the scenario the incremental path's
-    speedup target is measured on.
+    maximally wasteful and the incremental path matters most.
 ``chaos``
     A guarded cell under the mixed fault schedule (crash + straggler +
     bandwidth spike + storm + perf-DB dropout), exercising the fault
@@ -23,8 +21,7 @@ incremental-recompute work targets:
     counters, no DES at all.  Isolates the allocator.
 ``maskgen-pooled``
     The identical request stream served from the ECLIP-style mask pools
-    (:mod:`repro.core.pools`) — timed side by side with ``maskgen``,
-    the wall-time delta is the pooled policy's overhead win.
+    (:mod:`repro.core.pools`).
 """
 
 from __future__ import annotations
@@ -48,11 +45,11 @@ __all__ = ["Scenario", "ScenarioRun", "SCENARIOS",
            "COLO4_CONFIG", "DENSE_CONFIG", "CHAOS_CONFIG", "CHAOS_GUARD",
            "chaos_faults"]
 
-#: The pinned experiment cells, exposed as module constants so the audit
-#: subsystem (:mod:`repro.check`) can replay exactly the benched cells
-#: through other execution paths (pooled sweeps, the result cache, audit
-#: hooks) without re-deriving them.  ``execute`` keeps using these same
-#: objects, so the bench rows and the audit replays are one workload.
+#: The pinned experiment cells, exposed as module constants so the
+#: differential checks can replay exactly these cells through other
+#: execution paths (pooled sweeps, the result cache, audit hooks)
+#: without re-deriving them.  ``execute`` uses these same objects, so
+#: the pinned hashes and the replays cover one workload.
 COLO4_CONFIG = ExperimentConfig(
     ("squeezenet",) * 4, policy="krisp-i", batch_size=8,
     seed=0, requests_scale=0.25)
@@ -73,24 +70,19 @@ def chaos_faults(config: ExperimentConfig = CHAOS_CONFIG):
 
 @dataclass(frozen=True)
 class ScenarioRun:
-    """Outcome of one scenario execution (timing is the runner's job).
+    """Outcome of one scenario execution.
 
-    ``batches`` is the number of distinct timestamps the engine visited
-    (``Simulator.batches_drained``) — under equal-timestamp batching many
-    events can share one instant, so honest throughput reporting needs
-    both counts.  Non-DES scenarios (maskgen) report ``batches ==
-    events``: every iteration is its own "instant".
+    ``events`` counts engine events for DES scenarios and churn
+    iterations for the non-DES ones (maskgen).
     """
 
     result_hash: str
     events: int
-    sim_time: float = 0.0
-    batches: int = 0
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named, pinned benchmark workload.
+    """A named workload and the sha256 its result must hash to.
 
     ``config`` (plus ``guard``/``faults_for`` when set) describes the
     experiment cell a DES-backed scenario runs, so differential checkers
@@ -99,8 +91,8 @@ class Scenario:
     """
 
     name: str
-    description: str
     execute: Callable[[], ScenarioRun]
+    pin: str
     config: ExperimentConfig | None = None
     guard: SloGuard | None = None
     faults_for: Callable[[ExperimentConfig], object] | None = None
@@ -110,12 +102,8 @@ def _cell(config: ExperimentConfig, faults=None, guard=None) -> ScenarioRun:
     stats: dict = {}
     result = run_experiment(
         config, RunOptions(faults=faults, guard=guard), stats_out=stats)
-    return ScenarioRun(
-        result_hash=result_hash(result),
-        events=stats["events_executed"],
-        sim_time=stats["sim_time"],
-        batches=stats.get("batches_drained", 0),
-    )
+    return ScenarioRun(result_hash=result_hash(result),
+                       events=stats["events_executed"])
 
 
 def _run_colo4() -> ScenarioRun:
@@ -136,11 +124,12 @@ def _churn_masks(allocator, iterations: int = 60_000) -> ScenarioRun:
 
     ``allocator`` is anything with ``generate(num_cus, counters)`` over
     the mi50 topology.  Both scenarios draw the identical request stream
-    (same RNG label), so ``bench maskgen maskgen-pooled`` compares the
-    two allocators on the same workload.
+    (same RNG label), so their pins cover the two allocators on one
+    workload.
     """
     topology = allocator.topology
     counters = CUKernelCounters(topology)
+    # The stream label is part of the pinned hashes: keep it verbatim.
     rng = RngRegistry(seed=0).stream("bench/maskgen")
     live: deque = deque()
     digest = hashlib.sha256()
@@ -155,8 +144,7 @@ def _churn_masks(allocator, iterations: int = 60_000) -> ScenarioRun:
             counters.release(live.popleft())
     while live:
         counters.release(live.popleft())
-    return ScenarioRun(result_hash=digest.hexdigest(), events=iterations,
-                       batches=iterations)
+    return ScenarioRun(result_hash=digest.hexdigest(), events=iterations)
 
 
 def _run_maskgen() -> ScenarioRun:
@@ -180,33 +168,38 @@ SCENARIOS: dict[str, Scenario] = {
     for scenario in (
         Scenario(
             "colo4",
-            "4-worker squeezenet co-location cell (CI smoke size)",
             _run_colo4,
+            "279249b4567c7ad73dd90ebface86d8a"
+            "e022ad21f18c366dad09d2216abe001c",
             config=COLO4_CONFIG,
         ),
         Scenario(
             "dense",
-            "48-worker batch-1 KRISP-I cell (incremental-recompute target)",
             _run_dense,
+            "5dfafc33d0fb3b21be6f3497fa806ebc"
+            "ad8f66c3ed2f501f4a3ebb0f509e2d90",
             config=DENSE_CONFIG,
         ),
         Scenario(
             "chaos",
-            "guarded 4-worker cell under the mixed fault schedule",
             _run_chaos,
+            "4bc20dfd562b11c8c30b49df577c38bd"
+            "e85d8c9d05849117b2f414f72c00a3a5",
             config=CHAOS_CONFIG,
             guard=CHAOS_GUARD,
             faults_for=chaos_faults,
         ),
         Scenario(
             "maskgen",
-            "Algorithm-1 mask generation against churning counters",
             _run_maskgen,
+            "573b008295dfe1764c6bdfeafc698973"
+            "4f13c8f4bf4bba54e5c20d2ef229e27f",
         ),
         Scenario(
             "maskgen-pooled",
-            "pooled (ECLIP-style) mask selection on the maskgen stream",
             _run_maskgen_pooled,
+            "d26d0fada6728223b3ccfc43579d407a"
+            "9cd4b446ec19cb215dc9bfcb299b2541",
         ),
     )
 }

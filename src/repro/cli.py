@@ -519,73 +519,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.bench import (
-        SCENARIOS, BenchError, baseline_deltas, check_report,
-        default_baseline_path, run_bench, write_report)
-
-    if args.list:
-        for name in sorted(SCENARIOS):
-            print(f"{name:<10} {SCENARIOS[name].description}")
-        return 0
-
-    names = args.scenarios or sorted(SCENARIOS)
-
-    try:
-        report = run_bench(names, compare=args.compare, repeats=args.repeat)
-    except BenchError as exc:
-        print(f"bench failed: {exc}", file=sys.stderr)
-        return 1
-
-    for row in report["rows"]:
-        print(f"{row['scenario']:<10} {row['mode']:<12} "
-              f"wall {row['wall_s']:>8.3f}s  "
-              f"{row['events_per_s']:>12,.0f} events/s  "
-              f"{row['batches_per_s']:>12,.0f} batches/s  "
-              f"hash {row['result_hash'][:16]}")
-    for name, speedup in report.get("speedups", {}).items():
-        recommended = report.get("recommended_modes", {}).get(name, "")
-        print(f"{name:<10} incremental speedup {speedup:.2f}x "
-              f"(hashes identical; recommended: {recommended})")
-
-    if args.compare:
-        baseline_path = default_baseline_path()
-        if baseline_path is not None:
-            try:
-                baseline = json.loads(baseline_path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"baseline {baseline_path.name} unreadable "
-                      f"({exc}); skipping deltas", file=sys.stderr)
-            else:
-                deltas = baseline_deltas(report, baseline)
-                for key, ratio in deltas.items():
-                    print(f"{key:<24} {ratio:>6.2f}x events/s "
-                          f"vs {baseline_path.name}")
-                if not deltas:
-                    print(f"no comparable rows in {baseline_path.name}")
-        else:
-            print("no committed BENCH_*.json baseline found for deltas")
-
-    if args.json_out:
-        path = write_report(report, args.json_out)
-        print(f"wrote {len(report['rows'])} rows to {path}")
-
-    if args.check:
-        baseline = json.loads(Path(args.check).read_text())
-        failures = check_report(
-            report, baseline, max_regression=args.max_regression)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"regression gate passed vs {args.check} "
-              f"(threshold +{args.max_regression:.0%})")
-    return 0
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
@@ -1012,28 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--md-out", default=None,
                         help="write the markdown report here")
     report.set_defaults(func=_cmd_report)
-
-    bench = sub.add_parser(
-        "bench", parents=[parents["json_out"]],
-        help="time the pinned simulator benchmark scenarios")
-    bench.add_argument("scenarios", nargs="*",
-                       help="scenario names (default: all; see --list)")
-    bench.add_argument("--list", action="store_true",
-                       help="list available scenarios and exit")
-    bench.add_argument("--repeat", "-r", type=int, default=1,
-                       help="repeats per row (best wall time wins)")
-    bench.add_argument("--compare", action="store_true",
-                       help="also run the full-recompute oracle, "
-                            "assert bit-identical hashes, report speedups "
-                            "and deltas vs the newest committed "
-                            "BENCH_*.json")
-    bench.add_argument("--check", default=None,
-                       help="baseline report JSON to gate wall-time "
-                            "regressions against")
-    bench.add_argument("--max-regression", type=float, default=0.30,
-                       help="allowed fractional wall-time regression for "
-                            "--check (default 0.30)")
-    bench.set_defaults(func=_cmd_bench)
 
     check = sub.add_parser(
         "check", parents=[parents["json_out"]],

@@ -277,7 +277,7 @@ def result_hash(result: ExperimentResult) -> str:
     Every float in the payload survives JSON bit-exactly, so two runs
     hash equally iff they produced the identical float sequence — the
     identity the incremental rate-recompute path is held to (and what
-    the bench harness compares across recompute modes).
+    ``krisp-repro check`` compares against each scenario's pin).
     """
     canonical = json.dumps(
         result_to_dict(result), sort_keys=True, separators=(",", ":"))

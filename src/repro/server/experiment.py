@@ -185,10 +185,6 @@ def measurement_window(config: ExperimentConfig) -> tuple[float, float]:
     return warmup, warmup + measure
 
 
-#: Backward-compatible private alias (the pre-rename name).
-_window_for = measurement_window
-
-
 def run_experiment(
     config: ExperimentConfig,
     options: Optional[RunOptions] = None,
@@ -202,10 +198,9 @@ def run_experiment(
     :class:`~repro.server.options.RunOptions` passed as ``options=``.
     ``RunOptions.workload`` is rejected: this runner is closed-loop.
 
-    ``stats_out`` (a plain dict) receives engine-level run statistics —
-    ``events_executed`` and final ``sim_time`` — for harnesses (the
-    bench CLI) that need them; the measurement payload itself stays
-    byte-stable.
+    ``stats_out`` (a plain dict) receives the engine's
+    ``events_executed`` count (reported by :mod:`repro.check.scenarios`);
+    the measurement payload itself stays byte-stable.
 
     ``options.audit`` (a callable taking ``(setup, injector)``) runs once
     after the run completes, with the live :class:`ServingSetup` and the
@@ -273,8 +268,6 @@ def run_experiment(
     snapshot("final")
     if stats_out is not None:
         stats_out["events_executed"] = sim.events_executed
-        stats_out["batches_drained"] = sim.batches_drained
-        stats_out["sim_time"] = sim.now
     if audit is not None:
         audit(setup, injector)
 

@@ -16,8 +16,8 @@ Three contracts under test:
 
 import pytest
 
-from repro.bench.scenarios import _churn_masks
 from repro.check.invariants import run_pool_program
+from repro.check.scenarios import _churn_masks
 from repro.core.allocation import (
     DistributionPolicy,
     ResourceMaskGenerator,

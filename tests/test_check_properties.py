@@ -15,12 +15,12 @@ Three families, 100 configs total:
 
 import pytest
 
-from repro.bench.scenarios import CHAOS_GUARD, chaos_faults
 from repro.check import (
     request_conservation,
     run_device_program,
     run_mask_program,
 )
+from repro.check.scenarios import CHAOS_GUARD, chaos_faults
 from repro.core.allocation import DistributionPolicy
 from repro.server.experiment import ExperimentConfig, run_experiment
 from repro.server.options import RunOptions

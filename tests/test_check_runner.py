@@ -1,6 +1,7 @@
 """Tests for the check runner, its report shape, and the CLI wiring."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,9 @@ from repro.check import (
     available_checks,
     run_checks,
 )
+from repro.check.differential import check_recompute_oracle
 from repro.check.mutate import MUTATIONS
+from repro.check.scenarios import SCENARIOS
 from repro.cli import main
 
 
@@ -51,6 +54,21 @@ def test_run_checks_cheap_scope_passes(tmp_path):
 
     lines = report.summary_lines()
     assert lines[-1].endswith("0 failed, 0 violations")
+
+
+def test_modes_check_holds_both_recompute_modes_to_the_pin(monkeypatch):
+    pin = SCENARIOS["chaos"].pin
+    assert check_recompute_oracle("chaos") == (
+        [], {"pin": pin, "incremental": pin, "full": pin})
+
+    wrong = "0" * 64
+    monkeypatch.setitem(SCENARIOS, "chaos",
+                        replace(SCENARIOS["chaos"], pin=wrong))
+    violations, details = check_recompute_oracle("chaos")
+    # The modes still agree with each other; only the pin is violated.
+    assert details == {"pin": wrong, "incremental": pin, "full": pin}
+    assert len(violations) == 2
+    assert all(f"!= pinned hash {wrong}" in v for v in violations)
 
 
 def test_run_checks_rejects_unknown_scenario():

@@ -95,40 +95,6 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_bench_command(tmp_path, capsys):
-    import json
-
-    out = tmp_path / "bench.json"
-    assert main(["bench", "colo4", "--compare", "--json-out", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "speedup" in printed and "hashes identical" in printed
-
-    report = json.loads(out.read_text())
-    assert report["schema"] == 2
-    assert {row["mode"] for row in report["rows"]} == {"incremental", "full"}
-    for row in report["rows"]:
-        assert row["scenario"] == "colo4"
-        assert "queue" not in row  # one event queue: no column
-        assert row["wall_s"] > 0
-        assert row["events"] > 0
-        assert 0 < row["batches"] <= row["events"]
-        assert len(row["result_hash"]) == 64
-    hashes = {row["result_hash"] for row in report["rows"]}
-    assert len(hashes) == 1
-    assert "colo4" in report["speedups"]
-    assert report["recommended_modes"]["colo4"] in ("incremental", "full")
-
-    # The fresh report gates cleanly against itself as a baseline.
-    assert main(["bench", "colo4", "--check", str(out)]) == 0
-
-
-def test_bench_list_and_bad_scenario(capsys):
-    assert main(["bench", "--list"]) == 0
-    assert "dense" in capsys.readouterr().out
-    assert main(["bench", "does-not-exist"]) == 1
-    assert "unknown scenario" in capsys.readouterr().err
-
-
 def test_alloc_command(tmp_path, capsys):
     import json
 

@@ -81,7 +81,7 @@ def test_recorder_captures_full_flight_timeline():
 
 
 def test_recorder_tracks_sheds_and_retries_under_chaos():
-    from repro.bench.scenarios import CHAOS_CONFIG, CHAOS_GUARD, chaos_faults
+    from repro.check.scenarios import CHAOS_CONFIG, CHAOS_GUARD, chaos_faults
 
     recorder = FlightRecorder()
     plain = run_experiment(
