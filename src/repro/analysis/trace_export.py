@@ -4,7 +4,8 @@ Thin backward-compatible wrapper over the observability layer: the event
 construction now lives in
 :func:`repro.obs.tracer.events_from_kernel_records`, and richer traces
 (request lifecycle, mask decisions, flow arrows) come from recording a
-run through :class:`repro.obs.Tracer` — see ``krisp-repro trace``.
+run through :class:`repro.obs.Tracer` — see ``krisp-repro colocate
+--trace-out``.
 """
 
 from __future__ import annotations

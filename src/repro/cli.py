@@ -6,7 +6,13 @@ be explored without writing code:
 * ``profile MODEL`` — Fig. 3/Fig. 4 views of one model: the CU-restriction
   sensitivity curve and the per-kernel minimum-CU trace.
 * ``colocate MODEL [MODEL...]`` — one co-location cell: throughput,
-  p95 vs SLO, and energy per inference under a chosen policy.
+  p95 vs SLO, energy per inference and the result hash under a chosen
+  policy, optionally with injected faults and SLO guard rails.  Output
+  flags attach observers: ``--trace-out`` writes a Perfetto-loadable
+  Chrome trace, ``--metrics-out`` Prometheus text metrics, and
+  ``--json-out``/``--md-out`` a latency-attribution + SLO burn-rate
+  report (deterministic JSON and markdown) with an exact conservation
+  audit.
 * ``table3`` — regenerate the Table III workload characterisation.
 * ``rate MODEL --rps N`` — open-loop serving at a fixed request rate.
 * ``load SPEC.yaml`` — a latency-vs-offered-rate curve over a workload
@@ -14,13 +20,8 @@ be explored without writing code:
   parallelisable point-by-point.
 * ``sweep [MODEL...]`` — a whole co-location grid (models x policies x
   worker counts) fanned out over a process pool with result caching.
-* ``trace MODEL [MODEL...]`` — run one cell with full tracing and write
-  a Perfetto-loadable Chrome trace plus a metrics summary.
 * ``chaos MODEL [MODEL...]`` — a policy × fault-scenario resilience grid
   with SLO guard rails, reporting goodput and p95 deltas vs fault-free.
-* ``report MODEL [MODEL...]`` — run one cell under the flight recorder
-  and emit a latency-attribution + SLO burn-rate report (deterministic
-  JSON and human-readable markdown), with an exact conservation audit.
 * ``fleet SPEC.yaml`` — a simulated multi-GPU fleet: devices × router
   policy × offered-rate grid with per-model pool autoscaling, optional
   node-crash injection, and per-device utilization/goodput accounting.
@@ -37,7 +38,10 @@ spell and mean the same thing on every subcommand that takes them.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from fractions import Fraction
+from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.analysis.series import ascii_curve
@@ -66,7 +70,7 @@ def _positive_int(value: str) -> int:
 
 
 def _shared_parents() -> dict[str, argparse.ArgumentParser]:
-    """Parent parsers for the flags every grid/report subcommand shares.
+    """Parent parsers for the flags every grid/cell subcommand shares.
 
     Defining ``--jobs``/``--no-cache``/``--json-out``/``--duration``
     once keeps their spelling, type, default, and help text identical
@@ -119,11 +123,52 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cell_names(models: Sequence[str], workers: int) -> tuple[str, ...]:
+    """The worker roster: ``workers`` replicas of a single model, or one
+    worker per listed model."""
+    models = tuple(models)
+    return models * workers if len(models) == 1 else models
+
+
+def _slo_guard(deadline_ms: Optional[float], admission: Optional[int],
+               retries: Optional[int] = None):
+    """The :class:`SloGuard` the ``--deadline``/``--admission``/
+    ``--retries`` flags ask for (unset ones keep the guard's defaults),
+    or ``None`` when none is set."""
+    if deadline_ms is None and admission is None and retries is None:
+        return None
+    from repro.server.slo import SloGuard
+
+    return SloGuard(
+        deadline=deadline_ms * 1e-3 if deadline_ms is not None else None,
+        admission_depth=admission,
+        max_retries=retries if retries is not None else SloGuard.max_retries)
+
+
 def _cmd_colocate(args: argparse.Namespace) -> int:
-    names = tuple(args.models) * args.workers if len(args.models) == 1 \
-        else tuple(args.models)
-    result = run_experiment(ExperimentConfig(
-        model_names=names, policy=args.policy, batch_size=args.batch))
+    from repro.exp.cache import result_hash
+
+    names = _cell_names(args.models, args.workers)
+    config = ExperimentConfig(
+        model_names=names, policy=args.policy, batch_size=args.batch,
+        seed=args.seed, emulated=args.emulated, requests_scale=args.scale)
+    tracer = registry = recorder = faults = None
+    if args.trace_out:
+        from repro.obs.tracer import Tracer
+        tracer = Tracer()
+    if args.metrics_out:
+        from repro.obs.metrics import MetricsRegistry
+        registry = MetricsRegistry()
+    if args.json_out or args.md_out:
+        from repro.obs.flight import FlightRecorder
+        recorder = FlightRecorder()
+    if args.faults:
+        from repro.exp.chaos import build_scenario
+        faults = build_scenario(args.faults, config)
+    result = run_experiment(config, options=RunOptions(
+        tracer=tracer, metrics=registry, recorder=recorder, faults=faults,
+        guard=_slo_guard(args.deadline, args.admission, args.retries)))
+
     rows = []
     for worker in result.workers:
         slo = slo_target(worker.model_name, args.batch) * 1e3
@@ -136,6 +181,102 @@ def _cmd_colocate(args: argparse.Namespace) -> int:
               f"(batch {args.batch})"))
     print(f"\nnormalized system throughput: {normalized_rps(result):.2f}x")
     print(f"energy per inference: {result.energy_per_request:.2f} J")
+    print(f"result hash {result_hash(result)}")
+
+    if tracer is not None:
+        events = tracer.write_chrome_trace(args.trace_out)
+        counts = tracer.counts()
+        print(f"\nwrote {events} trace events to {args.trace_out} "
+              f"({counts['span']} spans, {counts['instant']} instants, "
+              f"{counts['counter']} counter samples, {counts['flow']} flow "
+              f"events)")
+        print(f"requests: {tracer.requests_traced}  "
+              f"kernels: {tracer.kernels_traced}  "
+              f"mask decisions: {tracer.mask_decisions}  "
+              f"barriers: {tracer.barriers}")
+        print(f"peak CU occupancy: {result.peak_cu_occupancy}  "
+              f"total rps: {result.total_rps:.0f}")
+        print("open the trace at https://ui.perfetto.dev (or "
+              "chrome://tracing)")
+    if registry is not None:
+        Path(args.metrics_out).write_text(registry.to_prometheus())
+        print(f"\nwrote {len(registry)} metric series to {args.metrics_out}")
+        print("metrics summary:")
+        for line in registry.summary_lines():
+            print(f"  {line}")
+    if recorder is not None:
+        return _attribution_report(args, config, result, recorder.flights())
+    return 0
+
+
+def _attribution_report(args: argparse.Namespace, config: ExperimentConfig,
+                        result, flights) -> int:
+    """Latency-attribution + SLO burn-rate report of one recorded cell.
+
+    Prints the markdown, writes ``--json-out``/``--md-out``, and exits 1
+    unless every completed flight decomposes into components that sum
+    *exactly* (Fraction arithmetic, no tolerance) to its end-to-end
+    latency.
+    """
+    from repro.exp.cache import fingerprint
+    from repro.obs.attribution import (
+        decompose,
+        render_markdown_report,
+        summarize,
+    )
+    from repro.obs.slo_report import build_slo_report
+    from repro.server.experiment import measurement_window
+
+    window = measurement_window(config)
+    audited = 0
+    exact = True
+    for flight in flights:
+        if not flight.completed:
+            continue
+        try:
+            parts = decompose(flight)
+        except ValueError:
+            exact = False
+            continue
+        audited += 1
+        if sum(parts.values(), Fraction(0)) != (
+                Fraction(flight.completion_time)
+                - Fraction(flight.arrival_time)):
+            exact = False
+
+    payload = {
+        "schema": 1,
+        "config": {"model_names": list(config.model_names),
+                   "policy": config.policy,
+                   "batch_size": config.batch_size,
+                   "seed": config.seed,
+                   "requests_scale": config.requests_scale},
+        "constants": fingerprint(),
+        "faults": args.faults,
+        "result": {
+            "total_rps": result.total_rps,
+            "goodput_rps": result.goodput_rps,
+            "max_p95_ms": result.max_p95() * 1e3,
+            "energy_per_request_j": result.energy_per_request,
+            "window_s": result.window,
+        },
+        "attribution": summarize(flights, window=window),
+        "slo": build_slo_report(flights, span=window, window_count=8),
+        "conservation": {"requests": audited, "exact": exact},
+    }
+    markdown = render_markdown_report(payload)
+    print(f"\n{markdown}")
+    if args.json_out:
+        Path(args.json_out).write_text(
+            json.dumps(payload, indent=2, sort_keys=True))
+        print(f"wrote report JSON to {args.json_out}")
+    if args.md_out:
+        Path(args.md_out).write_text(markdown + "\n")
+        print(f"wrote report markdown to {args.md_out}")
+    if not exact:
+        print("CONSERVATION VIOLATED: attribution components do not sum "
+              "to end-to-end latency", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -172,7 +313,6 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 def _cmd_load(args: argparse.Namespace) -> int:
     from repro.exp.load import run_load_curve
     from repro.exp.sweep import default_jobs
-    from repro.server.slo import SloGuard
     from repro.workload import load_workload
 
     spec = load_workload(args.spec)
@@ -183,12 +323,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
         model_names=names, policy=args.policy,
         batch_size=spec.request_batch_size(), seed=args.seed)
 
-    guard = None
-    if args.deadline is not None or args.admission is not None:
-        guard = SloGuard(
-            deadline=(args.deadline * 1e-3 if args.deadline is not None
-                      else None),
-            admission_depth=args.admission)
+    guard = _slo_guard(args.deadline, args.admission)
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
     report = run_load_curve(
@@ -212,8 +347,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
               "served from the rate store")
 
     if args.metrics_out:
-        from pathlib import Path
-
         from repro.obs.attribution import export_attribution_metrics
         from repro.obs.flight import FlightRecorder
         from repro.obs.metrics import MetricsRegistry
@@ -234,9 +367,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
               f"{probe_rate:.0f} rps point to {args.metrics_out}")
 
     if args.json_out:
-        import json
-        from pathlib import Path
-
         from repro.exp.cache import fingerprint
 
         payload = {
@@ -301,9 +431,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"\n{report.summary()}")
 
     if args.json_out:
-        import json
-        from pathlib import Path
-
         from repro.exp.cache import fingerprint
 
         payload = {"schema": 1, "constants": fingerprint(),
@@ -321,52 +448,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.tracer import Tracer
-
-    names = tuple(args.models) * args.workers if len(args.models) == 1 \
-        else tuple(args.models)
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    result = run_experiment(
-        ExperimentConfig(
-            model_names=names, policy=args.policy, batch_size=args.batch,
-            emulated=args.emulated, requests_scale=args.scale,
-        ),
-        options=RunOptions(tracer=tracer, metrics=registry,
-                           sample_interval=args.sample_interval),
-    )
-    events = tracer.write_chrome_trace(args.out)
-    counts = tracer.counts()
-    print(f"wrote {events} trace events to {args.out} "
-          f"({counts['span']} spans, {counts['instant']} instants, "
-          f"{counts['counter']} counter samples, {counts['flow']} flow "
-          f"events)")
-    print(f"requests: {tracer.requests_traced}  "
-          f"kernels: {tracer.kernels_traced}  "
-          f"mask decisions: {tracer.mask_decisions}  "
-          f"barriers: {tracer.barriers}")
-    print(f"peak CU occupancy: {result.peak_cu_occupancy}  "
-          f"total rps: {result.total_rps:.0f}")
-    if args.metrics_out:
-        from pathlib import Path
-        Path(args.metrics_out).write_text(registry.to_prometheus())
-        print(f"wrote {len(registry)} metric series to {args.metrics_out}")
-    print("\nmetrics summary:")
-    for line in registry.summary_lines():
-        print(f"  {line}")
-    print("\nopen the trace at https://ui.perfetto.dev (or "
-          "chrome://tracing)")
-    return 0
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.exp.chaos import CHAOS_SCENARIOS, build_scenario, run_chaos
     from repro.exp.sweep import default_jobs
 
-    names = tuple(args.models) * args.workers if len(args.models) == 1 \
-        else tuple(args.models)
+    names = _cell_names(args.models, args.workers)
     scenarios = tuple(args.scenarios) if args.scenarios \
         else CHAOS_SCENARIOS
 
@@ -385,8 +471,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
           f"{guard.deadline * 1e3:.1f} ms, {guard.max_retries} retries")
 
     if args.json_out:
-        import json
-        from pathlib import Path
         Path(args.json_out).write_text(
             json.dumps(report.to_rows(), indent=2, sort_keys=True))
         print(f"wrote {len(report.cells)} cells to {args.json_out}")
@@ -412,117 +496,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    import json
-    from fractions import Fraction
-    from pathlib import Path
-
-    from repro.exp.cache import fingerprint
-    from repro.obs.attribution import (
-        decompose,
-        render_markdown_report,
-        summarize,
-    )
-    from repro.obs.flight import FlightRecorder
-    from repro.obs.slo_report import build_slo_report
-    from repro.server.experiment import measurement_window
-    from repro.server.slo import SloGuard
-
-    names = tuple(args.models) * args.workers if len(args.models) == 1 \
-        else tuple(args.models)
-    config = ExperimentConfig(
-        model_names=names, policy=args.policy, batch_size=args.batch,
-        seed=args.seed, requests_scale=args.scale)
-
-    guard = None
-    if (args.deadline is not None or args.admission is not None
-            or args.retries is not None):
-        kwargs = {}
-        if args.deadline is not None:
-            kwargs["deadline"] = args.deadline * 1e-3
-        if args.admission is not None:
-            kwargs["admission_depth"] = args.admission
-        if args.retries is not None:
-            kwargs["max_retries"] = args.retries
-        guard = SloGuard(**kwargs)
-
-    faults = None
-    if args.faults:
-        from repro.exp.chaos import build_scenario
-        faults = build_scenario(args.faults, config)
-
-    recorder = FlightRecorder()
-    result = run_experiment(config, options=RunOptions(
-        recorder=recorder, faults=faults, guard=guard))
-
-    warmup, end = measurement_window(config)
-    flights = recorder.flights()
-    attribution = summarize(flights, window=(warmup, end))
-    slo = build_slo_report(flights, objective=args.objective,
-                           span=(warmup, end), window_count=8)
-
-    # Conservation audit: every completed flight must decompose into
-    # components that sum *exactly* (Fraction arithmetic, no tolerance)
-    # to its end-to-end latency.
-    audited = 0
-    exact = True
-    for flight in flights:
-        if not flight.completed:
-            continue
-        try:
-            parts = decompose(flight)
-        except ValueError:
-            exact = False
-            continue
-        audited += 1
-        total = sum(parts.values(), Fraction(0))
-        if total != (Fraction(flight.completion_time)
-                     - Fraction(flight.arrival_time)):
-            exact = False
-
-    payload = {
-        "schema": 1,
-        "config": {"model_names": list(names),
-                   "policy": config.policy,
-                   "batch_size": config.batch_size,
-                   "seed": config.seed,
-                   "requests_scale": config.requests_scale},
-        "constants": fingerprint(),
-        "faults": args.faults,
-        "result": {
-            "total_rps": result.total_rps,
-            "goodput_rps": result.goodput_rps,
-            "max_p95_ms": result.max_p95() * 1e3,
-            "energy_per_request_j": result.energy_per_request,
-            "window_s": result.window,
-        },
-        "attribution": attribution,
-        "slo": slo,
-        "conservation": {"requests": audited, "exact": exact},
-    }
-
-    markdown = render_markdown_report(payload)
-    print(markdown)
-
-    if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True))
-        print(f"wrote report JSON to {args.json_out}")
-    if args.md_out:
-        Path(args.md_out).write_text(markdown + "\n")
-        print(f"wrote report markdown to {args.md_out}")
-
-    if not exact:
-        print("CONSERVATION VIOLATED: attribution components do not sum "
-              "to end-to-end latency", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.check import available_checks, run_checks, run_mutate_smoke
 
     if args.list:
@@ -570,17 +544,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-#: Allocation/sizing policy rosters, duplicated as literals so parser
-#: construction stays import-light; a parity test pins them against
-#: :mod:`repro.core.pools`.
+#: Allocation/sizing policy and fault-scenario rosters, duplicated as
+#: literals so parser construction stays import-light; a parity test pins
+#: them against :mod:`repro.core.pools` and :mod:`repro.exp.chaos`.
 _ALLOCATION_CHOICES = ("krisp", "pooled", "pooled-contention")
 _SIZING_CHOICES = ("static", "predictive")
+_FAULT_SCENARIOS = ("crash", "straggler", "bandwidth", "storm", "dropout",
+                    "mixed")
 
 
 def _cmd_alloc(args: argparse.Namespace) -> int:
-    import json
     import time
-    from pathlib import Path
 
     from repro.check.invariants import run_mask_program, run_pool_program
     from repro.exp.cache import fingerprint, result_hash
@@ -591,7 +565,7 @@ def _cmd_alloc(args: argparse.Namespace) -> int:
         print(f"unknown model(s) {unknown}; choose from "
               f"{sorted(ALL_MODEL_NAMES)}", file=sys.stderr)
         return 2
-    names = models * args.workers if len(models) == 1 else models
+    names = _cell_names(models, args.workers)
     allocations = tuple(dict.fromkeys(args.allocations))
     total_violations = 0
 
@@ -711,8 +685,6 @@ def _cmd_alloc(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.cluster import AutoscalerConfig, ClusterConfig, run_fleet
     from repro.exp.sweep import default_jobs
     from repro.workload import load_workload
@@ -724,13 +696,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         batch_size=spec.request_batch_size(), seed=args.seed,
         router=args.router, pool_size=args.pool, pool_min=args.pool_min)
 
-    guard = None
-    if args.deadline is not None or args.admission is not None:
-        from repro.server.slo import SloGuard
-        guard = SloGuard(
-            deadline=(args.deadline * 1e-3 if args.deadline is not None
-                      else None),
-            admission_depth=args.admission)
+    guard = _slo_guard(args.deadline, args.admission)
 
     faults = None
     if args.crash_node is not None:
@@ -788,13 +754,42 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--batch", type=int, default=32)
     profile.set_defaults(func=_cmd_profile)
 
-    colocate = sub.add_parser("colocate", help="run one co-location cell")
+    colocate = sub.add_parser(
+        "colocate", parents=[parents["json_out"]],
+        help="run one co-location cell; output flags attach the tracer, "
+             "metrics sampler or flight recorder")
     colocate.add_argument("models", nargs="+", choices=ALL_MODEL_NAMES)
     colocate.add_argument("--workers", "-n", type=int, default=2,
                           help="replicas when a single model is given")
     colocate.add_argument("--policy", "-p", choices=POLICY_NAMES,
                           default="krisp-i")
     colocate.add_argument("--batch", type=int, default=32)
+    colocate.add_argument("--seed", type=int, default=0)
+    colocate.add_argument("--scale", type=float, default=1.0,
+                          help="measurement-window scale (requests_scale)")
+    colocate.add_argument("--emulated", action="store_true",
+                          help="route launches through the barrier-packet "
+                               "emulation path")
+    colocate.add_argument("--faults", choices=_FAULT_SCENARIOS,
+                          default=None,
+                          help="inject a chaos fault scenario during the "
+                               "run")
+    colocate.add_argument("--deadline", type=float, default=None,
+                          help="SLO guard deadline in ms (enables "
+                               "shedding)")
+    colocate.add_argument("--admission", type=int, default=None,
+                          help="bound each queue to this depth")
+    colocate.add_argument("--retries", type=int, default=None,
+                          help="crash-retry budget per request")
+    colocate.add_argument("--trace-out", default=None,
+                          help="trace the cell and write a Perfetto-"
+                               "loadable Chrome trace here")
+    colocate.add_argument("--metrics-out", default=None,
+                          help="sample sim-time metrics and write "
+                               "Prometheus text here")
+    colocate.add_argument("--md-out", default=None,
+                          help="write the markdown attribution report here "
+                               "(--json-out writes its JSON)")
     colocate.set_defaults(func=_cmd_colocate)
 
     table3 = sub.add_parser("table3", help="regenerate Table III")
@@ -862,27 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extra attempts per failing cell")
     sweep.set_defaults(func=_cmd_sweep)
 
-    trace = sub.add_parser(
-        "trace", help="trace one co-location cell into a Perfetto JSON")
-    trace.add_argument("models", nargs="+", choices=ALL_MODEL_NAMES)
-    trace.add_argument("--workers", "-n", type=int, default=2,
-                       help="replicas when a single model is given")
-    trace.add_argument("--policy", "-p", choices=POLICY_NAMES,
-                       default="krisp-i")
-    trace.add_argument("--batch", type=int, default=32)
-    trace.add_argument("--emulated", action="store_true",
-                       help="route launches through the barrier-packet "
-                            "emulation path")
-    trace.add_argument("--scale", type=float, default=1.0,
-                       help="measurement-window scale (requests_scale)")
-    trace.add_argument("--out", "-o", default="trace.json",
-                       help="Chrome trace output path")
-    trace.add_argument("--metrics-out", default=None,
-                       help="also write Prometheus text metrics here")
-    trace.add_argument("--sample-interval", type=float, default=250e-6,
-                       help="sim-time metrics sampling period in seconds")
-    trace.set_defaults(func=_cmd_trace)
-
     chaos = sub.add_parser(
         "chaos",
         parents=[parents["jobs"], parents["cache"], parents["json_out"]],
@@ -893,9 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--policies", "-p", nargs="+", choices=POLICY_NAMES,
                        default=["krisp-i", "mps-default"])
     chaos.add_argument("--scenarios", "-s", nargs="+",
-                       choices=["crash", "straggler", "bandwidth", "storm",
-                                "dropout", "mixed"],
-                       default=None,
+                       choices=_FAULT_SCENARIOS, default=None,
                        help="fault scenarios (default: all)")
     chaos.add_argument("--batch", type=int, default=32)
     chaos.add_argument("--seed", type=int, default=0)
@@ -915,36 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="kernel right-sizing policy for the KRISP "
                             "cells")
     chaos.set_defaults(func=_cmd_chaos)
-
-    report = sub.add_parser(
-        "report", parents=[parents["json_out"]],
-        help="latency-attribution + SLO burn-rate report for one cell")
-    report.add_argument("models", nargs="+", choices=ALL_MODEL_NAMES)
-    report.add_argument("--workers", "-n", type=int, default=2,
-                        help="replicas when a single model is given")
-    report.add_argument("--policy", "-p", choices=POLICY_NAMES,
-                        default="krisp-i")
-    report.add_argument("--batch", type=int, default=32)
-    report.add_argument("--seed", type=int, default=0)
-    report.add_argument("--scale", type=float, default=1.0,
-                        help="measurement-window scale (requests_scale)")
-    report.add_argument("--faults", choices=["crash", "straggler",
-                                             "bandwidth", "storm",
-                                             "dropout", "mixed"],
-                        default=None,
-                        help="inject a chaos fault scenario during the run")
-    report.add_argument("--deadline", type=float, default=None,
-                        help="SLO guard deadline in ms (enables shedding)")
-    report.add_argument("--admission", type=int, default=None,
-                        help="bound each queue to this depth")
-    report.add_argument("--retries", type=int, default=None,
-                        help="crash-retry budget per request")
-    report.add_argument("--objective", type=float, default=0.95,
-                        help="SLO attainment objective for burn-rate "
-                             "accounting (default 0.95)")
-    report.add_argument("--md-out", default=None,
-                        help="write the markdown report here")
-    report.set_defaults(func=_cmd_report)
 
     check = sub.add_parser(
         "check", parents=[parents["json_out"]],

@@ -411,7 +411,7 @@ def _ms(seconds: float) -> str:
 
 
 def render_markdown_report(payload: dict[str, Any]) -> str:
-    """Markdown view of a ``krisp-repro report`` JSON payload."""
+    """Markdown view of a ``krisp-repro colocate --json-out`` report payload."""
     lines: list[str] = []
     config = payload.get("config", {})
     models = "+".join(config.get("model_names", ())) or "?"

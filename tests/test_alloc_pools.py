@@ -162,10 +162,16 @@ def test_config_rejects_unknown_policies():
 
 
 def test_cli_choices_match_policy_rosters():
-    from repro.cli import _ALLOCATION_CHOICES, _SIZING_CHOICES
+    from repro.cli import (
+        _ALLOCATION_CHOICES,
+        _FAULT_SCENARIOS,
+        _SIZING_CHOICES,
+    )
+    from repro.exp.chaos import CHAOS_SCENARIOS
 
     assert _ALLOCATION_CHOICES == ALLOCATION_POLICIES
     assert _SIZING_CHOICES == SIZING_POLICIES
+    assert _FAULT_SCENARIOS == CHAOS_SCENARIOS
 
 
 # -- interference model ------------------------------------------------------

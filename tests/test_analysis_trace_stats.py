@@ -1,17 +1,13 @@
-"""Tests for the chrome-trace exporter and repeated-seed statistics."""
+"""Tests for the chrome-trace exporter."""
 
 import json
 
-import pytest
-
-from repro.analysis.stats import repeat_experiment, summarize
 from repro.analysis.trace_export import export_chrome_trace, trace_events
 from repro.gpu.cu_mask import CUMask
 from repro.gpu.device import GpuDevice
 from repro.gpu.exec_model import ExecutionModelConfig
 from repro.gpu.kernel import KernelDescriptor, KernelLaunch
 from repro.gpu.topology import GpuTopology
-from repro.server.experiment import ExperimentConfig
 from repro.sim.engine import Simulator
 
 TOPO = GpuTopology.mi50()
@@ -61,43 +57,3 @@ def test_unfinished_records_skipped():
     # Do not run the simulator: the kernel never finishes.
     spans = [e for e in trace_events(device.trace) if e["ph"] == "X"]
     assert spans == []
-
-
-# -- stats --------------------------------------------------------------------
-
-def test_summarize_basic():
-    summary = summarize([1.0, 2.0, 3.0])
-    assert summary.mean == pytest.approx(2.0)
-    assert summary.samples == 3
-    assert summary.ci_low < 2.0 < summary.ci_high
-    assert summary.ci_halfwidth > 0
-
-
-def test_summarize_single_sample():
-    summary = summarize([5.0])
-    assert summary.mean == 5.0
-    assert summary.ci_halfwidth == 0.0
-
-
-def test_summarize_validation():
-    with pytest.raises(ValueError):
-        summarize([])
-    with pytest.raises(ValueError):
-        summarize([1.0], confidence=1.5)
-
-
-def test_repeat_experiment_over_seeds():
-    summary = repeat_experiment(
-        ExperimentConfig(("squeezenet",), requests_scale=0.5),
-        metric=lambda r: r.workers[0].latency.mean,
-        seeds=(0, 1, 2),
-    )
-    assert summary.samples == 3
-    assert summary.stddev > 0  # host jitter differs across seeds
-    assert summary.ci_low < summary.mean < summary.ci_high
-
-
-def test_repeat_experiment_needs_seeds():
-    with pytest.raises(ValueError):
-        repeat_experiment(ExperimentConfig(("squeezenet",)),
-                          metric=lambda r: r.total_rps, seeds=())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.scenarios import SCENARIOS
 from repro.cli import build_parser, main
 
 
@@ -38,8 +39,8 @@ def test_trace_command(tmp_path, capsys):
 
     out = tmp_path / "trace.json"
     metrics = tmp_path / "metrics.prom"
-    assert main(["trace", "squeezenet", "-n", "2", "--scale", "0.1",
-                 "--out", str(out), "--metrics-out", str(metrics)]) == 0
+    assert main(["colocate", "squeezenet", "-n", "2", "--scale", "0.1",
+                 "--trace-out", str(out), "--metrics-out", str(metrics)]) == 0
     printed = capsys.readouterr().out
     assert "trace events" in printed
     assert "mask decisions" in printed
@@ -83,6 +84,34 @@ def test_chaos_command(tmp_path, monkeypatch, capsys):
     procs = {e["args"]["name"] for e in events
              if e.get("name") == "process_name"}
     assert "faults" in procs
+
+
+@pytest.mark.parametrize("argv, pin", [
+    (["squeezenet", "-n", "2", "--scale", "0.5"],
+     "586c866e8d4b92e20d04807e15adf3e875a658afdd5b75efc7161732ebb6ee5f"),
+    (["squeezenet", "-n", "4", "--batch", "8", "--scale", "0.25"],
+     SCENARIOS["colo4"].pin),
+    # Attached observers never move the hash.
+    (["squeezenet", "-n", "4", "--batch", "8", "--scale", "0.25",
+      "--faults", "mixed", "--deadline", "250", "--admission", "8",
+      "--retries", "2", "--json-out", "{tmp}/report.json",
+      "--trace-out", "{tmp}/trace.json", "--metrics-out", "{tmp}/m.prom"],
+     SCENARIOS["chaos"].pin),
+], ids=["fig13a", "colo4", "chaos"])
+def test_colocate_prints_pinned_result_hash(argv, pin, tmp_path, capsys):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(["colocate", *argv]) == 0
+    hashes = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("result hash ")]
+    assert hashes == [f"result hash {pin}"]
+
+
+@pytest.mark.parametrize("command", ["trace", "report"])
+def test_folded_cell_commands_exit_2(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "squeezenet"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_unknown_model_rejected():

@@ -11,7 +11,7 @@ from repro.workload.spec import HomogeneousWorkloadSpec
 SHARED_FLAGS = {
     "--jobs": ("sweep", "load", "chaos", "fleet"),
     "--no-cache": ("sweep", "load", "chaos", "fleet"),
-    "--json-out": ("sweep", "load", "chaos", "report", "check", "alloc",
+    "--json-out": ("colocate", "sweep", "load", "chaos", "check", "alloc",
                    "fleet"),
     "--duration": ("rate", "load", "fleet"),
 }
@@ -44,8 +44,8 @@ def test_shared_flags_are_identical_everywhere():
 
 def test_every_expected_subcommand_exists():
     assert set(_subcommands(build_parser())) == {
-        "profile", "colocate", "table3", "rate", "load", "sweep", "trace",
-        "chaos", "report", "check", "alloc", "fleet"}
+        "profile", "colocate", "table3", "rate", "load", "sweep", "chaos",
+        "check", "alloc", "fleet"}
 
 
 def _write_spec(tmp_path, rate=50.0):

@@ -1,9 +1,9 @@
-"""The ``krisp-repro report`` CLI, ``load`` attribution/metrics flags,
-and per-model queue sampling.
+"""The attribution report of ``krisp-repro colocate --json-out/--md-out``,
+``load`` attribution/metrics flags, and per-model queue sampling.
 
-The acceptance contract: two uncached ``report`` runs of the same
-pinned scenario emit byte-identical JSON, and the payload's own
-conservation audit is clean.
+The acceptance contract: two uncached report runs of the same pinned
+scenario emit byte-identical JSON, and the payload's own conservation
+audit is clean.
 """
 
 import json
@@ -40,7 +40,7 @@ kind: heterogeneous
 def test_report_runs_twice_byte_identical(tmp_path, capsys):
     first = tmp_path / "r1.json"
     second = tmp_path / "r2.json"
-    base = ["report", "squeezenet", "-n", "2", "--scale", "0.25"]
+    base = ["colocate", "squeezenet", "-n", "2", "--scale", "0.25"]
     assert main(base + ["--json-out", str(first)]) == 0
     assert main(base + ["--json-out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
@@ -60,7 +60,7 @@ def test_report_runs_twice_byte_identical(tmp_path, capsys):
 
 def test_report_markdown_and_faulted_run(tmp_path, capsys):
     md = tmp_path / "report.md"
-    code = main(["report", "squeezenet", "-n", "4", "--batch", "8",
+    code = main(["colocate", "squeezenet", "-n", "4", "--batch", "8",
                  "--scale", "0.25", "--faults", "mixed",
                  "--deadline", "250", "--admission", "8",
                  "--retries", "2", "--md-out", str(md)])
@@ -124,4 +124,4 @@ def test_sampler_covers_per_model_workload_queues():
 
 def test_report_parser_rejects_unknown_fault():
     with pytest.raises(SystemExit):
-        main(["report", "squeezenet", "--faults", "earthquake"])
+        main(["colocate", "squeezenet", "--faults", "earthquake"])

@@ -1,10 +1,9 @@
-"""Tests for dynamic batching and the multi-model frontend scheduler."""
+"""Tests for dynamic batching."""
 
 import pytest
 
 from repro.server.batching import DynamicBatcher, SingleRequest
 from repro.server.request import RequestQueue
-from repro.server.scheduler import FrontendScheduler
 from repro.sim.engine import Simulator
 
 
@@ -77,36 +76,3 @@ def test_batcher_validation():
         DynamicBatcher(sim, queue, "m", max_batch_size=0)
     with pytest.raises(ValueError):
         DynamicBatcher(sim, queue, "m", max_delay=-1.0)
-
-
-# -- scheduler ---------------------------------------------------------------
-
-def test_scheduler_routes_by_model():
-    sim = Simulator()
-    scheduler = FrontendScheduler(sim)
-    a = scheduler.register_model("albert", max_batch_size=2)
-    b = scheduler.register_model("vgg19", max_batch_size=2)
-    assert scheduler.submit(SingleRequest("albert", 0.0))
-    assert scheduler.submit(SingleRequest("vgg19", 0.0))
-    assert scheduler.submit(SingleRequest("albert", 0.0))
-    sim.run(until=1e-6)
-    assert a.requests_routed == 2
-    assert b.requests_routed == 1
-    assert len(a.queue) == 1  # albert's pair flushed as a full batch
-
-
-def test_scheduler_rejects_unknown_model():
-    sim = Simulator()
-    scheduler = FrontendScheduler(sim)
-    scheduler.register_model("albert")
-    assert not scheduler.submit(SingleRequest("gpt", 0.0))
-    assert scheduler.rejected == 1
-
-
-def test_scheduler_duplicate_registration():
-    sim = Simulator()
-    scheduler = FrontendScheduler(sim)
-    scheduler.register_model("albert")
-    with pytest.raises(ValueError):
-        scheduler.register_model("albert")
-    assert scheduler.model_names == ("albert",)
