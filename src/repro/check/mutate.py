@@ -18,6 +18,7 @@ mutation                   caught by
 ``tamper-cached-result``   cached-vs-fresh differential hash
 ``drop-enqueue-count``     request-conservation identity
 ``scale-kernel-latency``   ``colo4``'s pinned hash (both modes agree)
+``stale-progress-credit``  ``chaos``'s pin and the full-recompute oracle
 =========================  ============================================
 """
 
@@ -28,6 +29,7 @@ import os
 import shutil
 import tempfile
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Iterator
 
 from repro.core.allocation import ResourceMaskGenerator
@@ -55,6 +57,17 @@ class Mutation:
 
 
 @contextmanager
+def _patch(owner: type, name: str, replacement: Callable) -> Iterator[None]:
+    """Install ``replacement`` as ``owner.name`` for the block."""
+    original = getattr(owner, name)
+    setattr(owner, name, replacement)
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
+@contextmanager
 def _drop_dirty_entry() -> Iterator[None]:
     """Incremental recompute forgets the newest-launched dirty record."""
     original = GpuDevice._dirty_after_mask_change
@@ -65,11 +78,8 @@ def _drop_dirty_entry() -> Iterator[None]:
             dirty.discard(max(dirty))
         return dirty
 
-    GpuDevice._dirty_after_mask_change = mutated
-    try:
+    with _patch(GpuDevice, "_dirty_after_mask_change", mutated):
         yield
-    finally:
-        GpuDevice._dirty_after_mask_change = original
 
 
 @contextmanager
@@ -89,11 +99,8 @@ def _skip_se_load_update() -> Iterator[None]:
         self._total -= mask.count()
         # Bug under test: self._se_loads is never decremented.
 
-    CUKernelCounters.release = mutated
-    try:
+    with _patch(CUKernelCounters, "release", mutated):
         yield
-    finally:
-        CUKernelCounters.release = original
 
 
 @contextmanager
@@ -117,11 +124,8 @@ def _skew_mask_shape() -> Iterator[None]:
             se = (se + 1) % topology.num_se
         return CUMask.from_cus(topology, cus)
 
-    ResourceMaskGenerator.generate = mutated
-    try:
+    with _patch(ResourceMaskGenerator, "generate", mutated):
         yield
-    finally:
-        ResourceMaskGenerator.generate = original
 
 
 @contextmanager
@@ -136,11 +140,8 @@ def _tamper_cached_result() -> Iterator[None]:
         return dataclasses.replace(
             result, total_rps=result.total_rps + 1e-6)
 
-    ContentStore.get = mutated
-    try:
+    with _patch(ContentStore, "get", mutated):
         yield
-    finally:
-        ContentStore.get = original
 
 
 @contextmanager
@@ -152,35 +153,20 @@ def _drop_enqueue_count() -> Iterator[None]:
         original(self, request)
         self.enqueued -= 1
 
-    RequestQueue.put = mutated
-    try:
+    with _patch(RequestQueue, "put", mutated):
         yield
-    finally:
-        RequestQueue.put = original
 
 
 @contextmanager
-def _scale_kernel_latency() -> Iterator[None]:
-    """Every kernel runs 0.1% slower, on both recompute paths alike.
-
-    The incremental and full-sweep modes still agree, so only the
-    scenario pin can catch it.  The patched run writes to a throwaway
-    cache root and the memos it may fill are cleared on exit, so no
-    scaled latency outlives the mutation.
-    """
-    original = GpuDevice._effective_latency
-
-    def mutated(self, record):
-        return original(self, record) * 1.001
-
+def _scratch_caches() -> Iterator[None]:
+    """Point the result store at a throwaway root and clear the memos a
+    patched run may fill on exit, so no mutated float outlives it."""
     saved_root = os.environ.get("REPRO_CACHE_DIR")
     scratch = tempfile.mkdtemp(prefix="repro-mutate-")
     os.environ["REPRO_CACHE_DIR"] = scratch
-    GpuDevice._effective_latency = mutated
     try:
         yield
     finally:
-        GpuDevice._effective_latency = original
         if saved_root is None:
             os.environ.pop("REPRO_CACHE_DIR", None)
         else:
@@ -189,6 +175,41 @@ def _scale_kernel_latency() -> Iterator[None]:
         for memo in (_isolated_pass_latency, isolated_baseline,
                      model_right_size):
             memo.cache_clear()
+
+
+@contextmanager
+def _scale_kernel_latency() -> Iterator[None]:
+    """Every kernel runs 0.1% slower, on both recompute paths alike.
+
+    The incremental and full-sweep modes still agree, so only the
+    scenario pin can catch it.
+    """
+    original = GpuDevice._effective_latency
+
+    def mutated(self, record):
+        return original(self, record) * 1.001
+
+    with _patch(GpuDevice, "_effective_latency", mutated), _scratch_caches():
+        yield
+
+
+@contextmanager
+def _stale_progress_credit() -> Iterator[None]:
+    """Lazy progress credit skips the newest logged interval.
+
+    Only the incremental path replays the advance log (full-recompute
+    mode credits eagerly), so the two modes part ways.
+    """
+    original = GpuDevice._credit
+
+    def mutated(self, record):
+        newest = self._advance_log.pop()
+        original(self, record)
+        self._advance_log.append(newest)
+        record.credited += 1
+
+    with _patch(GpuDevice, "_credit", mutated), _scratch_caches():
+        yield
 
 
 def _device_check() -> list[str]:
@@ -214,9 +235,9 @@ def _conservation_check() -> list[str]:
     return check_experiment_invariants("colo4")[0]
 
 
-def _pin_check() -> list[str]:
+def _modes_check(scenario: str) -> list[str]:
     from repro.check.differential import check_recompute_oracle
-    return check_recompute_oracle("colo4")[0]
+    return check_recompute_oracle(scenario)[0]
 
 
 MUTATIONS: tuple[Mutation, ...] = (
@@ -254,6 +275,12 @@ MUTATIONS: tuple[Mutation, ...] = (
         "scale-kernel-latency",
         "every kernel latency is scaled by 1.001 in both recompute modes",
         _scale_kernel_latency,
-        _pin_check,
+        partial(_modes_check, "colo4"),
+    ),
+    Mutation(
+        "stale-progress-credit",
+        "lazy progress credit drops the newest logged interval",
+        _stale_progress_credit,
+        partial(_modes_check, "chaos"),
     ),
 )

@@ -124,11 +124,6 @@ class ChaosCell:
         return self.result.goodput_rps
 
     @property
-    def goodput_delta(self) -> float:
-        """Goodput change vs the fault-free baseline (negative = lost)."""
-        return self.result.goodput_rps - self.baseline.goodput_rps
-
-    @property
     def goodput_ratio(self) -> float:
         """Goodput retained under faults (1.0 = unharmed)."""
         base = self.baseline.goodput_rps

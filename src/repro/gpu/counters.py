@@ -126,10 +126,6 @@ class CUKernelCounters:
         """
         return self._se_loads
 
-    def residents_map(self) -> dict[int, int]:
-        """``{cu: residents}`` for CUs with at least one kernel."""
-        return {cu: n for cu, n in enumerate(self._counts) if n > 0}
-
     def counts_view(self) -> list[int]:
         """Direct (read-only by convention) view of the per-CU counts.
 
@@ -141,12 +137,6 @@ class CUKernelCounters:
     def busy_cus(self) -> int:
         """Number of CUs with at least one resident kernel."""
         return self._busy
-
-    def busy_mask(self) -> CUMask:
-        """Mask of CUs with at least one resident kernel."""
-        return CUMask.from_cus(
-            self.topology, (cu for cu, n in enumerate(self._counts) if n > 0)
-        )
 
     def total_assigned(self) -> int:
         """Sum of all counters (kernel-CU assignments in flight).  O(1)."""

@@ -4,42 +4,41 @@
 instantaneous rate is derived from the dispatcher timing model
 (:mod:`repro.gpu.exec_model`) given its CU mask, the current per-CU
 residency, and the device-wide memory-bandwidth pool.  Whenever the
-resident set changes (a launch or a retirement), every running kernel's
-progress is advanced at its old rate and its completion event is
-rescheduled at its new rate — an exact piecewise-constant-rate model, the
-standard processor-sharing construction for discrete-event simulators.
-
-The recompute path is the simulator's hot loop, so per-kernel invariants
-(wave splits, isolated-latency floor, bandwidth demand) are cached at
-launch — memoised per (descriptor, mask) pair, since serving traces
-replay the same kernels onto the same converged partitions — the per-CU
-residency is read through a zero-copy view, and a kernel whose rate did
-not change keeps its already-scheduled completion event.  The slow-path
-formulas in :mod:`repro.gpu.exec_model` remain the single source of
-truth; the test suite asserts the cached fast path matches them.
+resident set changes, the affected kernels' completion events are
+rescheduled at their new rates — an exact piecewise-constant-rate
+(processor-sharing) model.  Per-kernel invariants are cached at launch,
+memoised per (descriptor, mask); the slow-path formulas in
+:mod:`repro.gpu.exec_model` stay the single source of truth.
 
 Rate recomputes are *incremental*: a CU→resident-records reverse index
 turns every state change into an exact dirty set — the records whose CUs
-intersect the changed mask, plus (only when the device-wide bandwidth
-pool crossed into, out of, or moved within the over-budget regime, or a
-fault scale changed) the records the changed term can reach.
-``_effective_latency`` depends solely on ``residents[cu]`` over the
-record's own CUs, the total bandwidth demand, and the fault scales, so
-recomputing only the dirty set yields the byte-identical float sequence
-of the full O(all-residents) sweep.  Once the dirty set covers at least
-half the residents the device sweeps them all instead (cheaper than
-sorting the set, and bit-identical).  ``GpuDevice(full_recompute=True)``
-(default: the ``REPRO_FULL_RECOMPUTE`` environment flag) forces the full
-sweep and the meter rescan on every change — the validation oracle the
-property tests compare against.
+intersect the changed mask, plus the bandwidth-demanding records when
+the pool moves into, out of or within the over-budget regime (or every
+record, for a fault-scale change).  ``_effective_latency`` depends only
+on those terms, so recomputing the dirty set in launch order yields the
+byte-identical float sequence of the full sweep; once the dirty set
+covers half the residents the device sweeps them all instead.
 
-Every state change commits eagerly: the affected rates are recomputed
-and their completions rescheduled before the launch or retirement
-returns, on one scalar (pure-Python float) path.  A kernel's retirement
-fires its ``done`` signal first and then its ``on_complete`` hook, so a
-hook observes a fired signal.
+Progress is credited *lazily and exactly*.  The first state change at a
+new instant closes every time integral once: it appends ``now`` to an
+append-only advance log, ticks the CU counters and charges the energy
+meter for the elapsed segment.  A record is credited only when its rate
+changes (before it is rescheduled) or when it is read
+(:meth:`GpuDevice.residents`, :meth:`GpuDevice.audit_state`), by
+replaying ``p = min(1, p + (tᵢ − tᵢ₋₁) / latency)`` over the intervals
+logged since its last credit — the float operations of an eager sweep,
+in the same order.  The log is trimmed when the device idles and,
+amortised, below the oldest resident's credit index.
+``GpuDevice(full_recompute=True)`` (default: the ``REPRO_FULL_RECOMPUTE``
+flag) is the validation oracle: it sweeps every rate on every change,
+credits every resident eagerly in its own loop and rescans the resident
+set for the meter.
 
-The device also owns the per-CU kernel counters (the *Resource Monitor*
+A retirement fires the record's ``done`` signal (with the record as its
+value), then runs its ``on_complete`` hook, then releases ``done``: no
+record↔signal cycle survives, so a retired kernel is freed by reference
+counting while :meth:`Simulator.run` pauses the cyclic collector.  The
+device also owns the per-CU kernel counters (the *Resource Monitor*
 KRISP's allocator reads) and the energy meter.
 """
 
@@ -49,6 +48,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
+from operator import add, sub
 from typing import Callable, Iterable, Optional
 
 from repro.gpu.counters import CUKernelCounters
@@ -71,25 +71,27 @@ __all__ = ["GpuDevice", "KernelRecord"]
 # done to absorb float accumulation across many rate changes.
 _PROGRESS_EPS = 1e-9
 
+# Trim the advance log once it outgrows this (or twice its last size).
+_LOG_TRIM_MIN = 64
+
 
 @dataclass(slots=True)
 class KernelRecord:
     """Bookkeeping for one running (or completed) kernel.
 
-    ``slots=True`` because the rate-recompute and progress-advance loops
-    touch several attributes per resident per state change.
+    ``slots=True`` because the rate-recompute loop touches several
+    attributes per resident per state change.  ``progress`` is credited
+    lazily: read it through :meth:`GpuDevice.residents` while the kernel
+    runs.  ``done`` is released (set to ``None``) once the kernel has
+    retired and its signal has fired with the record as value.
     """
 
     launch: KernelLaunch
     mask: CUMask
-    done: Signal
+    done: Optional[Signal]
     start_time: float
     progress: float = 0.0
     eff_latency: float = 0.0
-    # Launch time while resident (the device's ``_last_advance`` is the
-    # authoritative progress stamp for running kernels); refreshed to the
-    # retirement time when the kernel completes.
-    last_update: float = 0.0
     end_time: Optional[float] = None
     completion_event: Optional[Event] = field(default=None, repr=False)
     on_complete: Optional[Callable[["KernelRecord"], None]] = field(
@@ -108,6 +110,8 @@ class KernelRecord:
     seq_no: int = field(default=0, repr=False)
     complete_cb: Optional[Callable[[], None]] = field(
         default=None, repr=False)
+    # Advance-log index through which ``progress`` has been credited.
+    credited: int = field(default=0, repr=False)
 
 
 class GpuDevice:
@@ -141,9 +145,9 @@ class GpuDevice:
         self._residents = self.counters.counts_view()
         self._total_demand = 0.0
         # ``full_recompute=None`` defers to the REPRO_FULL_RECOMPUTE env
-        # flag; true selects the O(all-residents) sweep and the meter
-        # rescan on every state change (the validation oracle for the
-        # incremental path).  The flag is strict, so a typo such as
+        # flag; true selects the O(all-residents) sweep, eager progress
+        # and the meter rescan (the validation oracle for the incremental
+        # path).  The flag is strict, so a typo such as
         # ``no`` cannot silently select the oracle.
         if full_recompute is None:
             flag = os.environ.get("REPRO_FULL_RECOMPUTE", "").lower()
@@ -164,11 +168,15 @@ class GpuDevice:
             set() for _ in range(self.topology.total_cus))
         self._demand_ids: set[int] = set()
         self._occupied_per_se: list[int] = [0] * self.topology.num_se
-        self._busy_cus = 0
-        self._active_ses = 0
         self._next_seq_no = 0
-        self._last_advance = 0.0
         self._invariant_cache: dict = {}
+        # Lazy progress: the instants at which the time integrals closed,
+        # from absolute index ``_log_base`` on.  Full-recompute mode
+        # credits eagerly and never appends.
+        self._last_advance = 0.0
+        self._advance_log: list[float] = [0.0]
+        self._log_base = 0
+        self._log_limit = _LOG_TRIM_MIN
         # Fault-injection state (repro.faults): a global straggler
         # multiplier, per-stream-tag multipliers, and external bandwidth
         # pressure.  All default to the no-fault identity; the hot path
@@ -212,8 +220,9 @@ class GpuDevice:
                 f"kernel {launch.descriptor.name}: cannot launch on an "
                 "empty CU mask"
             )
-        self._advance_progress()
-        self.counters.tick(self.sim.now)
+        now = self.sim._now
+        if now != self._last_advance:
+            self._advance_to(now)
         self.counters.assign(mask)
         # Device bookkeeping is keyed by the per-device launch sequence
         # number (not the global launch_id): dirty sets of seq numbers
@@ -227,11 +236,11 @@ class GpuDevice:
             # and nothing reads them (debuggers can reconstruct the id
             # from the record).
             done=Signal(self.sim) if done is None else done,
-            start_time=self.sim.now,
-            last_update=self.sim.now,
+            start_time=now,
             on_complete=on_complete,
             seq_no=seq_no,
             complete_cb=partial(self._complete, seq_no),
+            credited=self._log_base + len(self._advance_log) - 1,
         )
         self._cache_invariants(record)
         old_total = self._total_demand
@@ -242,14 +251,14 @@ class GpuDevice:
             cu_records[cu].add(seq_no)
         if record.demand > 0.0:
             self._demand_ids.add(seq_no)
-        self._apply_occupied(record.occupied_per_se, 1)
+        self._occupied_per_se = list(
+            map(add, self._occupied_per_se, record.occupied_per_se))
         if self.record_trace:
             self.trace.append(record)
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.kernel_launched(record)
-        self._commit_state_change(
-            self._dirty_after_mask_change(mask, old_total))
+        self._recompute_rates(self._dirty_after_mask_change(mask, old_total))
         return record
 
     def busy(self) -> bool:
@@ -260,20 +269,26 @@ class GpuDevice:
         """Number of kernels currently executing."""
         return len(self._running)
 
+    def residents(self) -> list[KernelRecord]:
+        """The running kernels in launch order, each with its progress
+        credited through the device's last state change."""
+        end = self._log_base + len(self._advance_log) - 1
+        for record in self._running.values():
+            if record.credited != end:
+                self._credit(record)
+        return list(self._running.values())
+
     @property
     def bandwidth_demand(self) -> float:
         """Total bandwidth demand of the resident kernels (budget units)."""
         return self._total_demand
 
     def finalize(self) -> None:
-        """Close the energy-integration segment at the current time.
-
-        Call after (or during) a run before reading
-        ``meter.energy_joules``.
-        """
-        self._advance_progress()
-        self.counters.tick(self.sim.now)
-        self._commit_meter()
+        """Close the time integrals (progress, counters, energy) at the
+        current time; call before reading ``meter.energy_joules``."""
+        now = self.sim._now
+        if now != self._last_advance:
+            self._advance_to(now)
 
     def charge_pool_switch(self, cost_s: float) -> None:
         """Account one pooled-allocator repack/pool-switch.
@@ -293,11 +308,6 @@ class GpuDevice:
         """Current global straggler multiplier (1.0 = no fault active)."""
         return self._fault_scale
 
-    @property
-    def fault_demand(self) -> float:
-        """External (injected) bandwidth demand, in budget units."""
-        return self._fault_demand
-
     def set_fault_latency_scale(self, scale: float,
                                 tag: Optional[str] = None) -> None:
         """Multiply kernel latencies by ``scale`` from now on.
@@ -309,7 +319,7 @@ class GpuDevice:
         """
         if scale <= 0:
             raise ValueError("latency scale must be > 0")
-        self._advance_progress()
+        self.finalize()
         if tag is None:
             self._fault_scale = scale
         elif scale == 1.0:
@@ -319,12 +329,12 @@ class GpuDevice:
         # A scale change (or the tag map becoming empty/non-empty) can
         # reach every resident kernel; fault windows are rare, so the
         # full sweep is the exact dirty set here.
-        self._commit_state_change()
+        self._recompute_rates()
 
     def add_fault_bandwidth_demand(self, demand: float) -> None:
         """Inject (or with a negative value, retire) external bandwidth
         pressure, throttling resident memory-bound kernels."""
-        self._advance_progress()
+        self.finalize()
         old_fault = self._fault_demand
         self._fault_demand += demand
         if self._fault_demand < 0.0:
@@ -333,7 +343,7 @@ class GpuDevice:
         if self._regime_crossed(self._total_demand + old_fault,
                                 self._total_demand + self._fault_demand):
             dirty |= self._demand_ids
-        self._commit_state_change(dirty)
+        self._recompute_rates(dirty)
 
     # -- internals ----------------------------------------------------------
     def _cache_invariants(self, record: KernelRecord) -> None:
@@ -411,32 +421,72 @@ class GpuDevice:
                 record.launch.tag, 1.0)
         return latency
 
-    def _advance_progress(self) -> None:
-        """Credit every running kernel with work done since last update.
+    def _advance_to(self, now: float) -> None:
+        """Close the time integrals at the first state change at ``now``.
 
-        Several state changes commonly land on the same timestamp (a
-        retirement immediately followed by the next launch), so the whole
-        sweep early-outs when no simulated time has passed — ``progress
-        += 0 / rate`` is an exact no-op, every record's ``last_update``
-        already equals ``now`` (the invariant this method maintains), and
-        skipping it changes no floats.
+        Charges the segment since the last state change at the resident
+        set that held through it: the progress log (or, in full-recompute
+        mode, an eager credit of every resident), the CU counters and the
+        energy meter.  Callers skip it when ``now`` equals
+        ``_last_advance``, so it runs once per instant.
         """
-        now = self.sim._now
-        last = self._last_advance
-        if now == last:
-            return
+        if self.full_recompute:
+            elapsed = now - self._last_advance
+            occupied = [0] * self.topology.num_se
+            for record in self._running.values():
+                lat = record.eff_latency
+                if lat > 0:
+                    progress = record.progress + elapsed / lat
+                    record.progress = 1.0 if progress > 1.0 else progress
+                occupied = list(map(add, occupied, record.occupied_per_se))
+        else:
+            log = self._advance_log
+            log.append(now)
+            if len(log) > self._log_limit:
+                self._trim_log()
+            occupied = self._occupied_per_se
         self._last_advance = now
-        # Invariant: every resident was last credited at ``last`` (launch
-        # and retire both advance first), so the elapsed term is shared
-        # and the device-level ``_last_advance`` stamp supersedes the
-        # per-record ``last_update`` field while a kernel is resident
-        # (the field is refreshed at retirement).
-        elapsed = now - last
-        for record in self._running.values():
-            lat = record.eff_latency
-            if lat > 0:
-                progress = record.progress + elapsed / lat
-                record.progress = 1.0 if progress > 1.0 else progress
+        self.counters.tick(now)
+        # Power follows *occupied* CUs (those actually holding
+        # workgroups), capped at each SE's physical size.
+        cap = self.topology.cus_per_se
+        busy = active = 0
+        for n in occupied:
+            if n:
+                active += 1
+                busy += n if n < cap else cap
+        self.meter.advance(now, busy, active)
+
+    def _credit(self, record: KernelRecord) -> None:
+        """Credit ``record`` with the progress logged since its last credit.
+
+        The record's rate held over every logged interval since then (a
+        rate change credits first), so replaying ``p + (tᵢ − tᵢ₋₁) / lat``
+        clamped at 1.0 is the exact float sequence of an eager sweep.
+        """
+        log = self._advance_log
+        base = self._log_base
+        lat = record.eff_latency
+        if lat > 0:
+            progress = record.progress
+            prev = log[record.credited - base]
+            for i in range(record.credited - base + 1, len(log)):
+                t = log[i]
+                progress = progress + (t - prev) / lat
+                if progress > 1.0:
+                    progress = 1.0
+                prev = t
+            record.progress = progress
+        record.credited = base + len(log) - 1
+
+    def _trim_log(self) -> None:
+        """Drop the log entries below the oldest resident's credit index."""
+        log = self._advance_log
+        oldest = min((record.credited for record in self._running.values()),
+                     default=self._log_base + len(log) - 1)
+        del log[:oldest - self._log_base]
+        self._log_base = oldest
+        self._log_limit = max(_LOG_TRIM_MIN, 2 * len(log))
 
     def _regime_crossed(self, old_total: float, new_total: float) -> bool:
         """Whether a total-demand change can reach any resident's latency.
@@ -464,15 +514,15 @@ class GpuDevice:
             dirty |= self._demand_ids
         return dirty
 
-    def _commit_state_change(self, dirty: Optional[set[int]] = None) -> None:
-        """Recompute affected rates, reschedule completions, advance the
-        meter.
+    def _recompute_rates(self, dirty: Optional[set[int]] = None) -> None:
+        """Recompute affected rates and reschedule their completions.
 
         ``dirty=None`` (and ``full_recompute`` mode) sweeps every
         resident.  A dirty set is replayed in launch order — the same
         relative order the full sweep visits — so both paths issue the
         identical sequence of ``schedule`` calls and the event seq
-        numbers (the deterministic tie-breakers) coincide.
+        numbers (the deterministic tie-breakers) coincide.  A record
+        whose rate changes is credited at its old rate first.
         """
         running = self._running
         # Crossover to the full sweep once the dirty set covers at least
@@ -483,61 +533,19 @@ class GpuDevice:
         # the same relative order, so the switch is bit-identical.
         if (dirty is None or self.full_recompute
                 or len(dirty) * 2 >= len(running)):
-            self._recompute_rates(running.values())
+            records: Iterable[KernelRecord] = running.values()
+        elif len(dirty) == 1:
+            # Singletons (the common case for isolated launches) skip
+            # the sort machinery.
+            records = (running[next(iter(dirty))],)
         else:
             # Dirty entries are per-device seq numbers, so a plain int
-            # sort replays them in launch order — the same relative
-            # order the full sweep visits.  Singletons (the common case
-            # for isolated launches) skip the sort machinery.
-            if len(dirty) == 1:
-                self._recompute_rates((running[next(iter(dirty))],))
-            else:
-                self._recompute_rates(
-                    map(running.__getitem__, sorted(dirty)))
-        self._commit_meter()
-
-    def _apply_occupied(self, per_se: tuple[int, ...], sign: int) -> None:
-        """Fold one record's occupied-CU shape into the meter aggregates.
-
-        All integer arithmetic, so the maintained ``busy``/``active SE``
-        totals are exactly what a rescan of the resident set computes.
-        """
-        occupied = self._occupied_per_se
-        cap = self.topology.cus_per_se
-        for se, n in enumerate(per_se):
-            if n == 0:
-                continue
-            old = occupied[se]
-            new = old + n if sign > 0 else old - n
-            occupied[se] = new
-            self._busy_cus += ((new if new < cap else cap)
-                               - (old if old < cap else cap))
-            self._active_ses += (new > 0) - (old > 0)
-
-    def _commit_meter(self) -> None:
-        # Power follows *occupied* CUs (those actually holding workgroups),
-        # capped at each SE's physical size when kernels overlap.  The
-        # busy/active-SE totals are maintained incrementally on
-        # launch/retire (integer arithmetic, so they are exact);
-        # full-recompute mode keeps the original resident-set rescan as
-        # the oracle.
-        if self.full_recompute:
-            topo = self.topology
-            occupied = [0] * topo.num_se
-            for record in self._running.values():
-                for se, n in enumerate(record.occupied_per_se):
-                    occupied[se] += n
-            busy = sum(min(n, topo.cus_per_se) for n in occupied)
-            active_ses = sum(1 for n in occupied if n > 0)
-        else:
-            busy = self._busy_cus
-            active_ses = self._active_ses
-        self.meter.advance(self.sim.now, busy, active_ses)
-
-    def _recompute_rates(self, records: Iterable[KernelRecord]) -> None:
+            # sort replays them in launch order.
+            records = map(running.__getitem__, sorted(dirty))
         effective_latency = self._effective_latency
         schedule = self.sim.schedule
         now = self.sim._now
+        end = self._log_base + len(self._advance_log) - 1
         for record in records:
             latency = effective_latency(record)
             event = record.completion_event
@@ -545,6 +553,8 @@ class GpuDevice:
                 if not event.cancelled and latency == record.eff_latency:
                     continue  # rate unchanged; completion still valid
                 event.cancel()
+            if record.credited != end:
+                self._credit(record)
             record.eff_latency = latency
             remaining = 1.0 - record.progress
             # Inlined schedule_in: delay is >= 0 by construction and
@@ -570,7 +580,7 @@ class GpuDevice:
 
     def resident_work_cu_seconds(self) -> float:
         """CU-seconds accumulated so far by the still-running kernels."""
-        now = self.sim.now
+        now = self.sim._now
         return sum(record.mask.count() * (now - record.start_time)
                    for record in self._running.values())
 
@@ -579,7 +589,7 @@ class GpuDevice:
 
         Cross-checks every incrementally maintained structure (the
         CU→resident reverse index, the demand set, the occupied-CU meter
-        aggregates, the counters, the cached rates) against a fresh
+        aggregate, the counters, the cached rates) against a fresh
         rescan of the resident set, and balances the work-conservation
         ledger.  Returns human-readable violation strings (empty =
         consistent).  Safe to call at any time between events; does not
@@ -601,7 +611,9 @@ class GpuDevice:
                 f"pool-switch cost {self.pool_switch_cost_s} s accrued "
                 "with zero switches")
 
-        # Reverse index: CU -> resident seq numbers.
+        # Reverse index (CU -> resident seq numbers) and counters vs the
+        # resident set (the Resource Monitor must agree with the device
+        # about who is where).
         for cu in range(topo.total_cus):
             expected = {seq for seq, rec in running.items()
                         if rec.mask.has(cu)}
@@ -610,6 +622,11 @@ class GpuDevice:
                     f"device: CU {cu} reverse index "
                     f"{sorted(self._cu_records[cu])} != resident rescan "
                     f"{sorted(expected)}")
+            if self.counters.count(cu) != len(expected):
+                violations.append(
+                    f"device: CU {cu} counter {self.counters.count(cu)} "
+                    f"!= resident kernels {len(expected)}")
+        violations.extend(self.counters.audit())
 
         # Demand set: seq numbers with positive bandwidth demand.
         expected_demand = {seq for seq, rec in running.items()
@@ -619,18 +636,8 @@ class GpuDevice:
                 f"device: demand set {sorted(self._demand_ids)} != "
                 f"rescan {sorted(expected_demand)}")
 
-        # Counters vs the resident set (the Resource Monitor must agree
-        # with the device about who is where).
-        for cu in range(topo.total_cus):
-            resident = sum(1 for rec in running.values()
-                           if rec.mask.has(cu))
-            if self.counters.count(cu) != resident:
-                violations.append(
-                    f"device: CU {cu} counter {self.counters.count(cu)} "
-                    f"!= resident kernels {resident}")
-        violations.extend(self.counters.audit())
 
-        # Meter aggregates: occupied-CU shape of the resident set.
+        # Meter aggregate: occupied-CU shape of the resident set.
         occupied = [0] * topo.num_se
         for rec in running.values():
             for se, n in enumerate(rec.occupied_per_se):
@@ -639,16 +646,6 @@ class GpuDevice:
             violations.append(
                 f"device: occupied-per-SE aggregate "
                 f"{self._occupied_per_se} != rescan {occupied}")
-        busy = sum(min(n, topo.cus_per_se) for n in occupied)
-        active = sum(1 for n in occupied if n > 0)
-        if busy != self._busy_cus:
-            violations.append(
-                f"device: busy-CU aggregate {self._busy_cus} != "
-                f"rescan {busy}")
-        if active != self._active_ses:
-            violations.append(
-                f"device: active-SE aggregate {self._active_ses} != "
-                f"rescan {active}")
 
         # Total bandwidth demand: float-summed incrementally, so allow
         # accumulation noise; at idle it must be exactly zero (the
@@ -666,10 +663,10 @@ class GpuDevice:
                 f"from rescan {fresh_demand!r}")
 
         # Per-record sanity: progress stays a fraction.
-        for seq, rec in running.items():
+        for rec in self.residents():
             if not 0.0 <= rec.progress <= 1.0:
                 violations.append(
-                    f"device: kernel seq {seq} progress "
+                    f"device: kernel seq {rec.seq_no} progress "
                     f"{rec.progress!r} outside [0, 1]")
 
         # The incremental path's rate contract.
@@ -682,7 +679,7 @@ class GpuDevice:
         # the per-kernel ledger (retired work + live partial work).  The
         # two sides sum the same piecewise-constant integral in different
         # orders, so compare with a relative tolerance.
-        self.counters.tick(self.sim.now)
+        self.counters.tick(self.sim._now)
         ledger = self.work_cu_seconds + self.resident_work_cu_seconds()
         integral = self.counters.assigned_cu_seconds
         if not math.isclose(integral, ledger, rel_tol=1e-6, abs_tol=1e-9):
@@ -692,36 +689,42 @@ class GpuDevice:
         return violations
 
     def _complete(self, seq_no: int) -> None:
-        record = self._running.get(seq_no)
+        running = self._running
+        record = running.get(seq_no)
         if record is None:
             return
-        self._advance_progress()
+        now = self.sim._now
+        if now != self._last_advance:
+            self._advance_to(now)
+        del running[seq_no]
         record.progress = 1.0
-        record.last_update = self.sim.now
-        record.end_time = self.sim.now
-        del self._running[seq_no]
-        self.work_cu_seconds += (
-            record.mask.count() * (record.end_time - record.start_time))
-        self.counters.tick(self.sim.now)
-        self.counters.release(record.mask)
+        record.end_time = now
+        mask = record.mask
+        self.work_cu_seconds += mask.count() * (now - record.start_time)
+        self.counters.release(mask)
         cu_records = self._cu_records
-        for cu in record.mask.cu_tuple:
+        for cu in mask.cu_tuple:
             cu_records[cu].discard(seq_no)
         self._demand_ids.discard(seq_no)
-        self._apply_occupied(record.occupied_per_se, -1)
+        self._occupied_per_se = list(
+            map(sub, self._occupied_per_se, record.occupied_per_se))
         old_total = self._total_demand
         self._total_demand -= record.demand
-        if not self._running:
+        if not running:
             self._total_demand = 0.0  # absorb float drift at idle points
-        self._commit_state_change(
-            self._dirty_after_mask_change(record.mask, old_total))
+            self._trim_log()
+        self._recompute_rates(self._dirty_after_mask_change(mask, old_total))
         self.kernels_completed += 1
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.kernel_retired(record)
         # Fire before the hook: a hook (the command processor's barrier
         # resume) then sees ``done.fired``, and the signal's waiters are
-        # scheduled ahead of anything the hook schedules.
+        # scheduled ahead of anything the hook schedules.  Then release
+        # ``done``: the fired signal keeps the record as its value, and
+        # dropping the back reference leaves no cycle for the (paused)
+        # collector to find.
         record.done.fire(record)
         if record.on_complete is not None:
             record.on_complete(record)
+        record.done = None

@@ -67,11 +67,12 @@ class PowerModel:
 
 
 class EnergyMeter:
-    """Integrates energy between piecewise-constant power segments.
+    """Integrates energy over piecewise-constant power segments.
 
-    The device calls :meth:`advance` with the *current* busy set right
-    before any state change; the meter accumulates
-    ``power(previous segment) * dt``.
+    The device calls :meth:`advance` once per instant at which its state
+    changes, with the busy set that held since the previous call; the
+    meter accumulates ``power(busy set) * dt`` for that segment and keeps
+    no busy state of its own.
     """
 
     def __init__(self, model: PowerModel, topology: GpuTopology) -> None:
@@ -80,8 +81,6 @@ class EnergyMeter:
         self.energy_joules = 0.0
         self.busy_cu_seconds = 0.0
         self._last_time = 0.0
-        self._busy_cus = 0
-        self._active_ses = 0
         # The busy-set space is tiny (total_cus × num_se levels) and the
         # meter advances on every device state change, so the power
         # formula is memoised per (busy, active) pair.  The cached float
@@ -89,21 +88,19 @@ class EnergyMeter:
         self._power_cache: dict[tuple[int, int], float] = {}
 
     def advance(self, now: float, busy_cus: int, active_ses: int) -> None:
-        """Close the segment ending at ``now`` and open a new one."""
+        """Charge the segment ``[last, now]`` at the given busy set."""
         if now < self._last_time:
             raise ValueError("time moved backwards")
         dt = now - self._last_time
         if dt > 0:
-            key = (self._busy_cus, self._active_ses)
+            key = (busy_cus, active_ses)
             power = self._power_cache.get(key)
             if power is None:
-                power = self.model.power(self.topology, *key)
+                power = self.model.power(self.topology, busy_cus, active_ses)
                 self._power_cache[key] = power
             self.energy_joules += power * dt
-            self.busy_cu_seconds += self._busy_cus * dt
+            self.busy_cu_seconds += busy_cus * dt
         self._last_time = now
-        self._busy_cus = busy_cus
-        self._active_ses = active_ses
 
     def utilization(self, elapsed: float) -> float:
         """Average fraction of CUs busy over ``elapsed`` seconds."""

@@ -140,15 +140,6 @@ class ExperimentResult:
             return self.total_rps
         return self.resilience.goodput_rps
 
-    @property
-    def shed_requests(self) -> int:
-        """Requests dropped by guard rails (0 when unguarded)."""
-        return self.resilience.shed if self.resilience is not None else 0
-
-    def worker_p95(self, index: int) -> float:
-        """p95 service latency of one worker, in seconds."""
-        return self.workers[index].latency.p95
-
     def max_p95(self) -> float:
         """Worst worker p95 in the cell."""
         return max(w.latency.p95 for w in self.workers)

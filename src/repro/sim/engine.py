@@ -4,8 +4,7 @@ The engine is deliberately minimal: events are ``(time, priority, seq)``
 ordered callbacks in a priority queue.  Components schedule callbacks with
 :meth:`Simulator.schedule` (absolute time) or :meth:`Simulator.schedule_in`
 (relative delay) and may cancel them.  Simulated time is a float in
-*seconds*; helpers for milliseconds and microseconds keep call sites
-readable.
+*seconds*.
 
 Determinism: ties in time are broken first by an explicit integer
 ``priority`` (lower runs first) and then by insertion order, so a run is a
@@ -41,10 +40,6 @@ from typing import Callable, Optional
 from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["Event", "Simulator", "SimulationError"]
-
-#: Multipliers for readable time literals.
-MILLISECONDS = 1e-3
-MICROSECONDS = 1e-6
 
 
 class SimulationError(RuntimeError):

@@ -81,8 +81,7 @@ def _drive(full_recompute: bool, seed: int):
         device.check_rate_invariant()
         snapshots.append(tuple(
             (r.launch.descriptor.name, r.seq_no, r.eff_latency, r.progress)
-            for r in sorted(device._running.values(),
-                            key=lambda rec: rec.seq_no)))
+            for r in device.residents()))
 
     sim.run(until=sim.now + 1.0)  # drain remaining completions
     return snapshots, completions
@@ -136,3 +135,32 @@ def test_check_rate_invariant_detects_a_stale_rate():
         pass
     else:
         raise AssertionError("stale cached rate went undetected")
+
+
+def test_advance_log_stays_bounded_in_a_run_that_never_idles(monkeypatch):
+    """20 batch-1 workers keep kernels resident almost throughout, so the
+    amortised trim below the oldest resident, not the idle reset, must
+    keep the lazy-progress log short."""
+    from repro.server.experiment import ExperimentConfig, run_experiment
+
+    lengths = []
+    busy_trims = [0]
+    advance_to = GpuDevice._advance_to
+    trim_log = GpuDevice._trim_log
+
+    def spy_advance(self, now):
+        advance_to(self, now)
+        lengths.append(len(self._advance_log))
+
+    def spy_trim(self):
+        busy_trims[0] += bool(self._running)
+        trim_log(self)
+
+    monkeypatch.setattr(GpuDevice, "_advance_to", spy_advance)
+    monkeypatch.setattr(GpuDevice, "_trim_log", spy_trim)
+    run_experiment(ExperimentConfig(
+        ("squeezenet",) * 20, policy="krisp-i", batch_size=1, seed=0,
+        requests_scale=0.01))
+    assert busy_trims[0] > 0
+    assert max(lengths) <= 1024
+    assert len(lengths) > 100 * max(lengths)

@@ -1,5 +1,7 @@
 """Unit tests for the command processor's packet semantics."""
 
+import gc
+
 import pytest
 
 from repro.core.allocation import ResourceMaskGenerator
@@ -7,7 +9,7 @@ from repro.core.krisp import KrispAllocator
 from repro.gpu.aql import BarrierAndPacket, KernelDispatchPacket
 from repro.gpu.command_processor import CommandProcessor, CommandProcessorConfig
 from repro.gpu.cu_mask import CUMask
-from repro.gpu.device import GpuDevice
+from repro.gpu.device import GpuDevice, KernelRecord
 from repro.gpu.exec_model import ExecutionModelConfig
 from repro.gpu.kernel import KernelDescriptor, KernelLaunch
 from repro.gpu.queue import HsaQueue
@@ -204,12 +206,67 @@ def test_sized_kernels_on_a_native_stream_cost_two_events_each():
 
 def test_stream_completion_signal_is_the_kernel_record_done():
     sim, device, stream = sized_stream(record_trace=True)
+    # ``record.done`` is released after retirement, so read it from a
+    # hook wrapped around the command processor's retire hook.
+    retired_done = []
+    launch = device.launch
+
+    def spying_launch(kernel, mask, on_complete=None, done=None):
+        def hook(record):
+            retired_done.append(record.done)
+            on_complete(record)
+        return launch(kernel, mask, hook, done=done)
+
+    device.launch = spying_launch
     signals = [stream.launch_kernel(descriptor(f"k{i}")) for i in range(3)]
     sim.run()
-    assert len(device.trace) == len(signals)
-    for signal, record in zip(signals, device.trace):
-        assert signal is record.done
+    assert len(device.trace) == len(retired_done) == len(signals)
+    for signal, done, record in zip(signals, retired_done, device.trace):
+        assert signal is done
         assert signal.fired and signal.value is record
+        assert record.done is None
+
+
+def test_a_run_keeps_no_retired_kernel():
+    """Retired kernels are freed by reference counting alone: nothing
+    cyclic pins them while ``run()`` pauses the collector."""
+    def live_records():
+        return [obj for obj in gc.get_objects()
+                if type(obj) is KernelRecord]
+
+    n = 200
+    sim, device, stream = sized_stream()
+    signals = []
+    excess = []
+
+    def worker():
+        for i in range(n):
+            signals[:] = [stream.launch_kernel(descriptor(f"k{i}"))]
+        yield stream.synchronize_signal()
+
+    def sampler():
+        while device.kernels_completed < n:
+            yield 25e-4
+            # Beyond the residents, at most the record carried by the
+            # newest fired completion signal may survive.
+            excess.append(len(live_records()) - device.running_count() - 1)
+
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        Process(sim, worker(), name="w")
+        Process(sim, sampler(), name="sampler")
+        sim.run()
+        assert device.kernels_completed == n
+        assert excess and max(excess) <= 0
+        # Drained: the only record left is the one the caller's last
+        # completion signal still carries.
+        (last,) = signals
+        assert live_records() == [last.value]
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_launches_on_one_queue_share_one_retire_hook():

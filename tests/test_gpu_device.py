@@ -224,6 +224,24 @@ def test_power_model_mi50_range():
     assert power.idle_power(TOPO) == pytest.approx(170.0)
 
 
+def test_energy_meter_charges_each_segment_at_the_busy_set_it_is_given():
+    meter = EnergyMeter(PowerModel(), TOPO)
+    # [0, 1] idle: 140 W static + 60 idle CUs at 0.5 W.
+    meter.advance(1.0, 0, 0)
+    assert meter.energy_joules == pytest.approx(170.0)
+    assert meter.busy_cu_seconds == 0.0
+    # [1, 1.5] with 30 busy CUs on 2 SEs: 140 + 2*9 + 30*1.9 + 30*0.5.
+    meter.advance(1.5, 30, 2)
+    # A zero-length segment charges nothing, whatever its busy set.
+    meter.advance(1.5, 60, 4)
+    # [1.5, 3.5] fully busy: 140 + 4*9 + 60*1.9.
+    meter.advance(3.5, 60, 4)
+    assert meter.energy_joules == pytest.approx(170.0 + 230.0 * 0.5
+                                                + 290.0 * 2.0)
+    assert meter.busy_cu_seconds == pytest.approx(30 * 0.5 + 60 * 2.0)
+    assert meter.utilization(3.5) == pytest.approx(135.0 / (3.5 * 60))
+
+
 def test_energy_meter_rejects_time_reversal():
     meter = EnergyMeter(PowerModel(), TOPO)
     meter.advance(1.0, 0, 0)

@@ -107,8 +107,7 @@ def _drive(program, full_recompute: bool):
             device.add_fault_bandwidth_demand(step[1])
         snapshots.append(tuple(
             (r.launch.descriptor.name, r.seq_no, r.eff_latency, r.progress)
-            for r in sorted(device._running.values(),
-                            key=lambda rec: rec.seq_no)))
+            for r in device.residents()))
 
     sim.run(until=sim.now + 1.0)  # drain remaining completions
     return {
