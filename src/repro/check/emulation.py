@@ -74,7 +74,7 @@ def check_emulation_correction(
         # mask recording for the audit below.
         return EmulatedKernelScopedStream(
             system.runtime, allocator=system.allocator,
-            sizer=system.rightsizer, config=system.emulation_config,
+            rightsizer=system.rightsizer, config=system.emulation_config,
             record_masks=True)
 
     def native_krisp(sim, device):

@@ -52,7 +52,6 @@ __all__ = [
     "request_conservation",
     "run_device_program",
     "run_mask_program",
-    "run_pool_program",
 ]
 
 
@@ -65,9 +64,13 @@ class MaskLawChecker:
     """
 
     def __init__(self, generator: ResourceMaskGenerator,
-                 counters: CUKernelCounters) -> None:
+                 counters: CUKernelCounters,
+                 descriptor: Optional[KernelDescriptor] = None) -> None:
+        """``descriptor`` is the kernel every request is made for (read
+        only by the contention-aware pool)."""
         self.generator = generator
         self.counters = counters
+        self.descriptor = descriptor
         self.checked = 0
         self.violations: list[str] = []
 
@@ -77,7 +80,7 @@ class MaskLawChecker:
         pre_counts = counters.snapshot()
         pre_total = counters.total_assigned()
         pre_busy = counters.busy_cus()
-        mask = self.generator.generate(num_cus, counters)
+        mask = self.generator.generate(num_cus, counters, self.descriptor)
         self._check(num_cus, mask, pre_counts, pre_total, pre_busy)
         self.checked += 1
         return mask
@@ -141,6 +144,25 @@ class MaskLawChecker:
                 f"CUs > limit {gen.overlap_limit}")
 
 
+def _over_budget_device(topology: GpuTopology
+                        ) -> tuple[GpuDevice, KernelDescriptor]:
+    """A device held at twice its bandwidth budget, and a kernel to place.
+
+    Two memory-streaming kernels sit resident on the full device (its
+    clock never runs), so the contention-aware pool's interference
+    penalty is live for every request of the returned memory-bound
+    kernel.
+    """
+    device = GpuDevice(Simulator(), topology)
+    kernel = KernelDescriptor(name="check_stream",
+                              workgroups=topology.total_cus,
+                              wg_duration=1.0, mem_intensity=1.0)
+    for _ in range(2):
+        device.launch(KernelLaunch(descriptor=kernel),
+                      CUMask.all_cus(topology))
+    return device, kernel
+
+
 def run_mask_program(
     seed: int,
     iterations: int = 400,
@@ -149,20 +171,45 @@ def run_mask_program(
     reshape: bool = True,
     topology: Optional[GpuTopology] = None,
     audit_every: int = 50,
+    allocation: str = "krisp",
+    stats_out: Optional[dict] = None,
 ) -> list[str]:
-    """Randomized Algorithm-1 churn under the mask-law checker.
+    """Randomized mask churn under the mask-law checker.
 
     Generates, assigns, and retires masks against live counters with a
     seeded request-size stream, auditing the counters periodically and
     after full drain.  Returns every violation observed.
+
+    ``allocation`` picks the generator: Algorithm 1 (``"krisp"``) or
+    the pool (``"pooled"``, ``"pooled-contention"``), whose lawfulness
+    contract says every pool-served mask satisfies L1-L4 at the original
+    request — so the identical checker and residency pattern apply.  The
+    contention churn places a memory-bound kernel on a device over its
+    bandwidth budget, so the interference bias actually scores.
+    ``stats_out`` (when given) receives the pool's
+    :meth:`~repro.core.pools.PooledMaskGenerator.pool_stats`.
     """
     topo = topology or GpuTopology.mi50()
-    generator = ResourceMaskGenerator(
-        topo, policy=policy, overlap_limit=overlap_limit, reshape=reshape)
+    descriptor = None
+    if allocation == "krisp":
+        generator = ResourceMaskGenerator(
+            topo, policy=policy, overlap_limit=overlap_limit,
+            reshape=reshape)
+        label = "maskgen"
+    else:
+        from repro.core.pools import PooledMaskGenerator
+
+        device = None
+        if allocation == "pooled-contention":
+            device, descriptor = _over_budget_device(topo)
+        generator = PooledMaskGenerator(
+            topo, policy=policy, overlap_limit=overlap_limit,
+            reshape=reshape, contention=device is not None, device=device)
+        label = "poolgen"
     counters = CUKernelCounters(topo)
-    checker = MaskLawChecker(generator, counters)
+    checker = MaskLawChecker(generator, counters, descriptor)
     rng = RngRegistry(seed=seed).stream(
-        f"check/maskgen/{policy.value}/{overlap_limit}")
+        f"check/{label}/{policy.value}/{overlap_limit}")
     live: deque = deque()
     violations: list[str] = []
     for i in range(iterations):
@@ -179,55 +226,8 @@ def run_mask_program(
     while live:
         counters.release(live.popleft())
     violations.extend(counters.audit())
-    return checker.violations + violations
-
-
-def run_pool_program(
-    seed: int,
-    iterations: int = 400,
-    policy: DistributionPolicy = DistributionPolicy.CONSERVED,
-    overlap_limit: Optional[int] = None,
-    reshape: bool = True,
-    topology: Optional[GpuTopology] = None,
-    audit_every: int = 50,
-    contention: bool = False,
-    stats_out: Optional[dict] = None,
-) -> list[str]:
-    """:func:`run_mask_program`, but through the pooled allocator.
-
-    The pooled policy's lawfulness contract says every pool-served mask
-    satisfies L1-L4 at the original request, so the identical checker
-    and churn program apply — same RNG stream, same residency pattern —
-    and any divergence from the contract surfaces as a violation.
-    ``stats_out`` (when given) receives the allocator's
-    :meth:`~repro.core.pools.PooledMaskAllocator.pool_stats`.
-    """
-    from repro.core.pools import PooledMaskAllocator
-
-    topo = topology or GpuTopology.mi50()
-    generator = ResourceMaskGenerator(
-        topo, policy=policy, overlap_limit=overlap_limit, reshape=reshape)
-    allocator = PooledMaskAllocator(generator, contention=contention)
-    counters = CUKernelCounters(topo)
-    checker = MaskLawChecker(allocator, counters)
-    rng = RngRegistry(seed=seed).stream(
-        f"check/poolgen/{policy.value}/{overlap_limit}")
-    live: deque = deque()
-    violations: list[str] = []
-    for i in range(iterations):
-        mask = checker.generate(int(rng.integers(1, topo.total_cus + 1)))
-        counters.assign(mask)
-        live.append(mask)
-        keep = int(rng.integers(0, 28))
-        while len(live) > keep:
-            counters.release(live.popleft())
-        if i % audit_every == 0:
-            violations.extend(counters.audit())
-    while live:
-        counters.release(live.popleft())
-    violations.extend(counters.audit())
-    if stats_out is not None:
-        stats_out.update(allocator.pool_stats())
+    if stats_out is not None and allocation != "krisp":
+        stats_out.update(generator.pool_stats())
     return checker.violations + violations
 
 

@@ -109,8 +109,8 @@ def _skew_mask_shape() -> Iterator[None]:
     conserved policy's fewest-SEs shape."""
     original = ResourceMaskGenerator.generate
 
-    def mutated(self, num_cus, counters):
-        mask = original(self, num_cus, counters)
+    def mutated(self, num_cus, counters, descriptor=None):
+        mask = original(self, num_cus, counters, descriptor)
         topology = self.topology
         per_se = topology.cus_per_se
         offsets = [0] * topology.num_se

@@ -34,11 +34,7 @@ from repro.check.differential import (
     check_recompute_oracle,
 )
 from repro.check.emulation import check_emulation_correction
-from repro.check.invariants import (
-    run_device_program,
-    run_mask_program,
-    run_pool_program,
-)
+from repro.check.invariants import run_device_program, run_mask_program
 from repro.check.metamorphic import check_mask_growth, check_overlap_limit_law
 from repro.check.mutate import MUTATIONS
 from repro.check.report import CheckReport, CheckResult
@@ -85,11 +81,11 @@ def _pool_laws() -> tuple[list[str], dict[str, Any]]:
     checked = 0
     stats: dict[str, Any] = {}
     for overlap_limit in (None, 0, 8):
-        for contention in (False, True):
+        for allocation in ("pooled", "pooled-contention"):
             per_run: dict = {}
-            violations.extend(run_pool_program(
+            violations.extend(run_mask_program(
                 seed=0, iterations=300, overlap_limit=overlap_limit,
-                contention=contention, stats_out=per_run))
+                allocation=allocation, stats_out=per_run))
             checked += 300
             for key, value in per_run.items():
                 stats[key] = stats.get(key, 0) + value

@@ -122,10 +122,9 @@ def _run_chaos() -> ScenarioRun:
 def _churn_masks(allocator, iterations: int = 60_000) -> ScenarioRun:
     """Mask-churn core shared by ``maskgen`` and ``maskgen-pooled``.
 
-    ``allocator`` is anything with ``generate(num_cus, counters)`` over
-    the mi50 topology.  Both scenarios draw the identical request stream
-    (same RNG label), so their pins cover the two allocators on one
-    workload.
+    ``allocator`` is a mask generator over the mi50 topology.  Both
+    scenarios draw the identical request stream (same RNG label), so
+    their pins cover the two allocators on one workload.
     """
     topology = allocator.topology
     counters = CUKernelCounters(topology)
@@ -155,12 +154,9 @@ def _run_maskgen() -> ScenarioRun:
 
 def _run_maskgen_pooled() -> ScenarioRun:
     """The same churn served from ECLIP-style mask pools."""
-    from repro.core.pools import PooledMaskAllocator
+    from repro.core.pools import PooledMaskGenerator
 
-    topology = GpuTopology.mi50()
-    allocator = PooledMaskAllocator(
-        ResourceMaskGenerator(topology, reshape=True))
-    return _churn_masks(allocator)
+    return _churn_masks(PooledMaskGenerator(GpuTopology.mi50(), reshape=True))
 
 
 SCENARIOS: dict[str, Scenario] = {

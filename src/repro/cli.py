@@ -46,6 +46,7 @@ from typing import Optional, Sequence
 
 from repro.analysis.series import ascii_curve
 from repro.analysis.tables import format_table
+from repro.core.krisp import ALLOCATION_POLICIES, SIZING_POLICIES
 from repro.models.zoo import ALL_MODEL_NAMES, MODEL_NAMES, TABLE_III, get_model
 from repro.profiling.model_profiler import kernel_mincu_trace, profile_model
 from repro.server.experiment import (
@@ -544,11 +545,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-#: Allocation/sizing policy and fault-scenario rosters, duplicated as
-#: literals so parser construction stays import-light; a parity test pins
-#: them against :mod:`repro.core.pools` and :mod:`repro.exp.chaos`.
-_ALLOCATION_CHOICES = ("krisp", "pooled", "pooled-contention")
-_SIZING_CHOICES = ("static", "predictive")
+#: Fault-scenario roster, duplicated as a literal so parser
+#: construction stays import-light; a parity test pins it against
+#: :mod:`repro.exp.chaos`.
 _FAULT_SCENARIOS = ("crash", "straggler", "bandwidth", "storm", "dropout",
                     "mixed")
 
@@ -556,7 +555,7 @@ _FAULT_SCENARIOS = ("crash", "straggler", "bandwidth", "storm", "dropout",
 def _cmd_alloc(args: argparse.Namespace) -> int:
     import time
 
-    from repro.check.invariants import run_mask_program, run_pool_program
+    from repro.check.invariants import run_mask_program
     from repro.exp.cache import fingerprint, result_hash
 
     models = tuple(args.models) if args.models else ("squeezenet",)
@@ -579,21 +578,16 @@ def _cmd_alloc(args: argparse.Namespace) -> int:
     for allocation in allocations:
         stats: dict = {}
         start = time.perf_counter()
-        if allocation == "krisp":
-            violations = run_mask_program(
-                seed=args.seed, iterations=args.iterations)
-        else:
-            violations = run_pool_program(
-                seed=args.seed, iterations=args.iterations,
-                contention=allocation == "pooled-contention",
-                stats_out=stats)
+        violations = run_mask_program(
+            seed=args.seed, iterations=args.iterations,
+            allocation=allocation, stats_out=stats)
         wall = time.perf_counter() - start
         total_violations += len(violations)
         pool_note = ""
         if stats:
-            pool_note = (f"  hits {stats.get('pool_hits', 0)} "
-                         f"repacks {stats.get('repacks', 0)} "
-                         f"fallbacks {stats.get('fallbacks', 0)}")
+            pool_note = (f"  hits {stats['pool_hits']} "
+                         f"repacks {stats['repacks']} "
+                         f"fallbacks {stats['fallbacks']}")
         print(f"{allocation:<18} wall {wall:>7.3f}s  "
               f"violations {len(violations)}{pool_note}")
         for violation in violations[:5]:
@@ -879,10 +873,10 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--trace-out", default=None,
                        help="re-run one fault-injected cell under the "
                             "tracer and write a Chrome trace here")
-    chaos.add_argument("--allocation", choices=_ALLOCATION_CHOICES,
+    chaos.add_argument("--allocation", choices=ALLOCATION_POLICIES,
                        default="krisp",
                        help="mask-allocation policy for the KRISP cells")
-    chaos.add_argument("--sizing", choices=_SIZING_CHOICES,
+    chaos.add_argument("--sizing", choices=SIZING_POLICIES,
                        default="static",
                        help="kernel right-sizing policy for the KRISP "
                             "cells")
@@ -903,12 +897,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "caught, 2 when one escapes)")
     check.add_argument("--list", action="store_true",
                        help="list every check and mutation, then exit")
-    check.add_argument("--allocation", choices=_ALLOCATION_CHOICES,
+    check.add_argument("--allocation", choices=ALLOCATION_POLICIES,
                        default="krisp",
                        help="audit the scenario replays under this mask-"
                             "allocation policy (non-default swaps in the "
                             "alloc-* differential checks)")
-    check.add_argument("--sizing", choices=_SIZING_CHOICES,
+    check.add_argument("--sizing", choices=SIZING_POLICIES,
                        default="static",
                        help="kernel right-sizing policy for the scenario "
                             "replays")
@@ -928,10 +922,10 @@ def build_parser() -> argparse.ArgumentParser:
     alloc.add_argument("--policy", "-p", choices=POLICY_NAMES,
                        default="krisp-i")
     alloc.add_argument("--allocations", "-a", nargs="+",
-                       choices=_ALLOCATION_CHOICES,
-                       default=list(_ALLOCATION_CHOICES),
+                       choices=ALLOCATION_POLICIES,
+                       default=list(ALLOCATION_POLICIES),
                        help="allocation policies to compare (default: all)")
-    alloc.add_argument("--sizing", choices=_SIZING_CHOICES,
+    alloc.add_argument("--sizing", choices=SIZING_POLICIES,
                        default="static",
                        help="kernel right-sizing policy for the cells")
     alloc.add_argument("--batch", type=int, default=8)

@@ -200,7 +200,7 @@ def run_cluster_experiment(
     if opts.faults is not None and len(opts.faults):
         driver = ClusterFaultDriver(cluster, router, opts.faults,
                                     metrics=opts.metrics)
-    cluster.start(stop_time=duration, sample_interval=opts.sample_interval)
+    cluster.start(stop_time=duration)
     client = FleetClient(cluster, router, spec, stop_time=duration)
     scaler = None
     if autoscaler is not None:

@@ -190,7 +190,7 @@ class ClusterSetup:
             name=f"n{slot.node_index}w{slot.plan_index}",
             segments_for=setup._segments_fn(plan))
 
-    def start(self, *, stop_time: float, sample_interval: float) -> None:
+    def start(self, *, stop_time: float) -> None:
         """Activate the initial pools and start the per-node samplers.
 
         ``pool_min`` slots per (node, model) come up in slot order; each
@@ -205,7 +205,7 @@ class ClusterSetup:
                     self.activate_slot(slot)
         for node in self.nodes:
             self.samplers.append(node.setup.start_sampler(
-                self.metrics, sample_interval, stop_time=stop_time,
+                self.metrics, stop_time=stop_time,
                 prefix=f"node{node.index}"))
 
     # -- fleet-wide views ----------------------------------------------------

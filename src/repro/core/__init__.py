@@ -7,7 +7,10 @@
   profiled minimum-CU requirements (amortised at library install time,
   Section IV-B).
 * :mod:`~repro.core.rightsizing` — the runtime-side kernel-wise
-  right-sizer that tags each launch with its partition size.
+  right-sizer that tags each launch with its partition size, and its
+  predictive variant.
+* :mod:`~repro.core.pools` — the pooled and contention-aware variants of
+  the Algorithm-1 mask generator.
 * :mod:`~repro.core.krisp` — ties right-sizing and allocation into the
   command-processor extension (:class:`KrispAllocator`) and a convenience
   :class:`KrispSystem` assembling a KRISP-enabled runtime.

@@ -35,6 +35,7 @@ from typing import Optional
 
 from repro.gpu.counters import CUKernelCounters
 from repro.gpu.cu_mask import CUMask
+from repro.gpu.kernel import KernelDescriptor
 from repro.gpu.topology import GpuTopology
 
 __all__ = ["DistributionPolicy", "ResourceMaskGenerator", "fair_share_floor",
@@ -155,7 +156,32 @@ class ResourceMaskGenerator:
             self._distribution_cache[num_cus] = targets
         return targets
 
-    def generate(self, num_cus: int, counters: CUKernelCounters) -> CUMask:
+    def _intern(self, bits: int) -> CUMask:
+        mask = self._mask_cache.get(bits)
+        if mask is None:
+            mask = CUMask(self.topology, bits)
+            self._mask_cache[bits] = mask
+        return mask
+
+    def _grant_window(self, num_cus: int,
+                      counters: CUKernelCounters) -> tuple[int, int]:
+        """``(floor, effective)``: the lawful grant range for a request.
+
+        ``effective`` is ``num_cus`` capped, in isolation mode
+        (``overlap_limit == 0``), at the larger of the free CUs and the
+        fair-share floor; ``floor`` is the fair-share floor capped at
+        ``effective``.  Every variant of the generator grants a size in
+        this window.
+        """
+        topo = self.topology
+        floor = fair_share_floor(topo.total_cus, counters.total_assigned())
+        if self.overlap_limit == 0:
+            free = topo.total_cus - counters.busy_cus()
+            num_cus = min(num_cus, max(floor, free))
+        return min(floor, num_cus), num_cus
+
+    def generate(self, num_cus: int, counters: CUKernelCounters,
+                 descriptor: Optional[KernelDescriptor] = None) -> CUMask:
         """Generate a CU mask for a kernel requesting ``num_cus`` CUs.
 
         Two passes: the first runs Algorithm 1 under the overlap limit to
@@ -176,6 +202,9 @@ class ResourceMaskGenerator:
         kernel convoys on leftovers; with it, co-located big-kernel
         models converge to clean fair-share partitions (the behaviour
         KRISP-I's Fig. 13 results rely on).
+
+        ``descriptor`` is the launching kernel; Algorithm 1 ignores it,
+        the contention-aware pool (:mod:`repro.core.pools`) reads it.
         """
         topo = self.topology
         if num_cus < 1:
@@ -189,11 +218,7 @@ class ResourceMaskGenerator:
         if cached is not None:
             self.masks_generated += 1
             return cached
-        floor = fair_share_floor(topo.total_cus, counters.total_assigned())
-        if self.overlap_limit == 0:
-            free = topo.total_cus - counters.busy_cus()
-            num_cus = min(num_cus, max(floor, free))
-        floor = min(floor, num_cus)
+        floor, num_cus = self._grant_window(num_cus, counters)
 
         selected = self._select(num_cus, counters, self.overlap_limit)
         if len(selected) < num_cus:
@@ -220,10 +245,7 @@ class ResourceMaskGenerator:
         bits = 0
         for cu in selected:
             bits |= 1 << cu
-        mask = self._mask_cache.get(bits)
-        if mask is None:
-            mask = CUMask(topo, bits)
-            self._mask_cache[bits] = mask
+        mask = self._intern(bits)
         if len(self._generate_cache) < self._GENERATE_CACHE_MAX:
             self._generate_cache[memo_key] = mask
         return mask

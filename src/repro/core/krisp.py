@@ -19,7 +19,8 @@ from typing import Optional, Union
 
 from repro.core.allocation import DistributionPolicy, ResourceMaskGenerator
 from repro.core.perfdb import PerfDatabase
-from repro.core.rightsizing import KernelRightSizer
+from repro.core.pools import PooledMaskGenerator
+from repro.core.rightsizing import KernelRightSizer, PredictiveRightSizer
 from repro.gpu.cu_mask import CUMask
 from repro.gpu.device import GpuDevice
 from repro.gpu.kernel import KernelLaunch
@@ -28,7 +29,16 @@ from repro.runtime.hsa import HsaRuntime
 from repro.runtime.stream import Stream
 from repro.sim.engine import Simulator
 
-__all__ = ["KrispAllocator", "KrispConfig", "KrispSystem"]
+__all__ = ["ALLOCATION_POLICIES", "SIZING_POLICIES", "KrispAllocator",
+           "KrispConfig", "KrispSystem"]
+
+#: Mask-allocation policies: ``"krisp"`` (per-kernel Algorithm 1),
+#: ``"pooled"`` and ``"pooled-contention"`` (:mod:`repro.core.pools`).
+ALLOCATION_POLICIES = ("krisp", "pooled", "pooled-contention")
+
+#: Right-sizing policies: ``"static"`` (perf-DB oracle) and
+#: ``"predictive"`` (:class:`~repro.core.rightsizing.PredictiveRightSizer`).
+SIZING_POLICIES = ("static", "predictive")
 
 
 @dataclass(frozen=True)
@@ -47,15 +57,12 @@ class KrispConfig:
     #: Regenerate shrunk allocations into balanced shapes (see
     #: :class:`repro.core.allocation.ResourceMaskGenerator`).
     reshape: bool = True
-    #: Mask-allocation policy: ``"krisp"`` (per-kernel Algorithm 1),
-    #: ``"pooled"``, or ``"pooled-contention"`` (see
-    #: :mod:`repro.core.pools`).
+    #: Mask-allocation policy, one of :data:`ALLOCATION_POLICIES`.
     allocation: str = "krisp"
-    #: Right-sizing policy: ``"static"`` or ``"predictive"``.
+    #: Right-sizing policy, one of :data:`SIZING_POLICIES`.
     sizing: str = "static"
 
     def __post_init__(self) -> None:
-        from repro.core.pools import ALLOCATION_POLICIES, SIZING_POLICIES
         if self.allocation not in ALLOCATION_POLICIES:
             raise ValueError(
                 f"unknown allocation {self.allocation!r}; "
@@ -67,7 +74,12 @@ class KrispConfig:
 
 
 class KrispAllocator:
-    """The packet-processor extension: partition size -> CU mask."""
+    """The packet-processor extension: partition size -> CU mask.
+
+    ``generator`` is Algorithm 1 (:class:`ResourceMaskGenerator`) or one
+    of its variants (:class:`~repro.core.pools.PooledMaskGenerator`);
+    every allocation policy goes through this one ``allocate``.
+    """
 
     def __init__(self, generator: ResourceMaskGenerator) -> None:
         self.generator = generator
@@ -90,7 +102,8 @@ class KrispAllocator:
         if requested is None:
             requested = device.topology.total_cus
         try:
-            mask = self.generator.generate(requested, device.counters)
+            mask = self.generator.generate(requested, device.counters,
+                                           launch.descriptor)
         except Exception:
             self.degraded += 1
             mask = CUMask.all_cus(device.topology)
@@ -120,33 +133,33 @@ class KrispSystem:
         self.sim = sim
         self.device = device
         self.database = database
-        self.config = config or KrispConfig()
+        self.config = config = config or KrispConfig()
         self.emulation_config = emulation or EmulationConfig()
-        generator = ResourceMaskGenerator(
+        generator_cls, variant = ResourceMaskGenerator, {}
+        if config.allocation != "krisp":
+            generator_cls = PooledMaskGenerator
+            variant = {"device": device,
+                       "contention": config.allocation == "pooled-contention"}
+        self.allocator = KrispAllocator(generator_cls(
             device.topology,
-            policy=self.config.distribution,
-            overlap_limit=self.config.overlap_limit,
-            reshape=self.config.reshape,
-        )
-        if self.config.allocation == "krisp":
-            self.allocator = KrispAllocator(generator)
-        else:
-            from repro.core.pools import PooledMaskAllocator
-            self.allocator = PooledMaskAllocator(
-                generator,
-                contention=self.config.allocation == "pooled-contention",
-            )
-        self.rightsizer = self._wrap_sizer(KernelRightSizer(
-            database, device.topology, margin_cus=self.config.margin_cus
+            policy=config.distribution,
+            overlap_limit=config.overlap_limit,
+            reshape=config.reshape,
+            **variant,
         ))
+        self.rightsizer = self._new_sizer()
         self.runtime = HsaRuntime(sim, device, allocator=self.allocator)
 
-    def _wrap_sizer(self, sizer: KernelRightSizer):
-        """Layer the configured sizing policy over a static oracle."""
+    def _new_sizer(self, fallback_cus: Optional[int] = None
+                   ) -> KernelRightSizer:
+        """A right-sizer of the configured sizing policy."""
         if self.config.sizing == "predictive":
-            from repro.core.pools import PredictiveRightSizer
-            return PredictiveRightSizer(sizer, self.device)
-        return sizer
+            return PredictiveRightSizer(
+                self.database, self.device.topology, self.device,
+                margin_cus=self.config.margin_cus, fallback_cus=fallback_cus)
+        return KernelRightSizer(
+            self.database, self.device.topology,
+            margin_cus=self.config.margin_cus, fallback_cus=fallback_cus)
 
     def create_stream(
         self,
@@ -169,17 +182,12 @@ class KrispSystem:
         """
         sizer = self.rightsizer
         if fallback_cus is not None:
-            sizer = self._wrap_sizer(KernelRightSizer(
-                self.database,
-                self.device.topology,
-                margin_cus=self.config.margin_cus,
-                fallback_cus=fallback_cus,
-            ))
+            sizer = self._new_sizer(fallback_cus)
         if emulated:
             return EmulatedKernelScopedStream(
                 self.runtime,
                 allocator=self.allocator,
-                sizer=sizer,
+                rightsizer=sizer,
                 config=self.emulation_config,
                 name=name,
             )

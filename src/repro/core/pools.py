@@ -1,8 +1,9 @@
-"""Pooled, contention-aware allocation policies (ROADMAP item 4).
+"""Pooled, contention-aware mask generation (ROADMAP item 4).
 
-Three policies layered over the Algorithm-1 stack:
+Two variants of Algorithm 1, both served through the one
+:class:`~repro.core.krisp.KrispAllocator`:
 
-**Pooled allocation** (:class:`PooledMaskAllocator`) — ECLIP-style: a
+**Pooled allocation** (:class:`PooledMaskGenerator`) — ECLIP-style: a
 small pre-generated set of distribution-shaped CU-mask pools per size
 class, built once per device, with a resource-allocation optimizer that
 assigns each kernel to the least-loaded lawful pool entry under a
@@ -18,24 +19,21 @@ device budget, a memory-intense kernel placed on occupied CUs pays the
 oversubscription slowdown, so such placements are penalised in the pool
 score.
 
-**Predictive right-sizing** (:class:`PredictiveRightSizer`) — adapts
-``minCU`` online from the same observable signals :class:`~repro.obs.
-sampler.SimSampler` exports (bandwidth pressure, straggler fault
-scale), read directly off the device at decision time so results never
-depend on whether metrics collection is enabled.  The static
-:class:`~repro.core.rightsizing.KernelRightSizer` is kept as the
-oracle: the predictive layer only ever *shrinks* the oracle answer, and
-only outside straggler windows.
+The pool's shape and budgets are module constants (no caller ever
+tuned them): the size classes are :func:`default_size_classes` of the
+device, each class holds one entry per shader engine, and
+:data:`REPACK_BUDGET`, :data:`REPACK_REFILL`, :data:`CONTENTION_WEIGHT`
+and :data:`SWITCH_COST_S` fix the repacking and contention terms.
 
 Lawfulness contract: every pool-served mask satisfies the
 :class:`~repro.check.invariants.MaskLawChecker` laws L1-L4 at the
-original request.  Pool selection recomputes the checker's grant window
-``[floor_capped, effective]`` from the live counters and serves the
-largest size class inside it; a class strictly below ``effective`` is a
-lawful shrink (L4's escape), a class equal to ``effective`` must respect
-the overlap limit or the entry is repacked through Algorithm 1 (lawful
-by construction); when no class fits the window the allocator falls
-back to a plain Algorithm-1 run.
+original request.  Pool selection uses the generator's own grant window
+``[floor, effective]`` over the live counters and serves the largest
+size class inside it; a class strictly below ``effective`` is a lawful
+shrink (L4's escape), a class equal to ``effective`` must respect the
+overlap limit or the entry is repacked through Algorithm 1 (lawful by
+construction); when no class fits the window the generator falls back
+to a plain Algorithm-1 run.
 """
 
 from __future__ import annotations
@@ -45,33 +43,31 @@ from typing import Any, Optional
 from repro.core.allocation import (
     DistributionPolicy,
     ResourceMaskGenerator,
-    fair_share_floor,
     se_distribution,
 )
-from repro.core.rightsizing import KernelRightSizer
 from repro.gpu.counters import CUKernelCounters
 from repro.gpu.cu_mask import CUMask
-from repro.gpu.kernel import KernelDescriptor, KernelLaunch
+from repro.gpu.kernel import KernelDescriptor
+from repro.gpu.topology import GpuTopology
 
 __all__ = [
-    "ALLOCATION_POLICIES",
-    "SIZING_POLICIES",
-    "PooledMaskAllocator",
-    "PredictiveRightSizer",
+    "PooledMaskGenerator",
     "default_size_classes",
     "interference_slowdown",
 ]
 
-#: Allocation-policy names accepted by ``ExperimentConfig.allocation``.
-ALLOCATION_POLICIES = ("krisp", "pooled", "pooled-contention")
-
-#: Right-sizing policy names accepted by ``ExperimentConfig.sizing``.
-SIZING_POLICIES = ("static", "predictive")
-
+#: Repack token bucket: at most this many repacks outstanding at once
+#: (the ECLIP "bounded repacking" knob) ...
+REPACK_BUDGET = 32
+#: ... refilled by this many tokens per generated mask.
+REPACK_REFILL = 1.0 / 64.0
+#: Pool-score penalty per occupied CU per unit of predicted slowdown
+#: above one (contention-aware variant only).
+CONTENTION_WEIGHT = 8.0
 #: Simulated cost of swapping a queue onto a different pool entry
 #: (an IOCTL-sized constant, accounted on the device, never added to
 #: kernel latency).
-DEFAULT_SWITCH_COST_S = 5e-6
+SWITCH_COST_S = 5e-6
 
 
 def interference_slowdown(mem_intensity: float, total_demand: float,
@@ -90,7 +86,7 @@ def interference_slowdown(mem_intensity: float, total_demand: float,
 
 
 def default_size_classes(total_cus: int, cus_per_se: int) -> tuple[int, ...]:
-    """The default pool size classes for a device shape.
+    """The pool size classes for a device shape.
 
     Small powers of two for tiny kernels, then SE multiples up to the
     full device — the sizes serving loops actually converge on.
@@ -104,72 +100,45 @@ def default_size_classes(total_cus: int, cus_per_se: int) -> tuple[int, ...]:
     return tuple(sorted(c for c in classes if 1 <= c <= total_cus))
 
 
-class PooledMaskAllocator:
-    """ECLIP-style pooled CU-mask allocation over Algorithm 1.
+class PooledMaskGenerator(ResourceMaskGenerator):
+    """ECLIP-style pooled CU-mask generation over Algorithm 1.
 
-    Exposes the same ``generate(num_cus, counters)`` surface (plus the
-    ``topology``/``policy``/``reshape``/``overlap_limit`` attributes) as
-    :class:`ResourceMaskGenerator`, so ``MaskLawChecker`` audits it
-    verbatim, and the same ``allocate(launch, device)`` surface as
-    :class:`~repro.core.krisp.KrispAllocator`, so it drops into the
-    command processor unchanged.
+    A :class:`ResourceMaskGenerator` whose ``generate`` serves pool
+    entries, so ``MaskLawChecker`` audits it verbatim and
+    :class:`~repro.core.krisp.KrispAllocator` installs it unchanged.
+    Fallbacks and repacks run the inherited Algorithm 1.
+
+    ``device`` (optional) is the live device: repacks are charged to
+    its pool-switch ledger, and with ``contention=True`` the pool score
+    folds in the memory-interference slowdown of co-residency from its
+    bandwidth demand (Zahaf-style placement).  The biased path reads
+    live device state, so it bypasses the selection memo.
     """
+
+    _SELECT_CACHE_MAX = 1 << 16
 
     def __init__(
         self,
-        generator: ResourceMaskGenerator,
-        size_classes: Optional[tuple[int, ...]] = None,
-        pool_depth: Optional[int] = None,
-        repack_budget: int = 32,
-        repack_refill: float = 1.0 / 64.0,
+        topology: GpuTopology,
+        policy: DistributionPolicy = DistributionPolicy.CONSERVED,
+        overlap_limit: Optional[int] = None,
+        reshape: bool = True,
+        *,
         contention: bool = False,
-        contention_weight: float = 8.0,
-        switch_cost_s: float = DEFAULT_SWITCH_COST_S,
+        device: Any = None,
     ) -> None:
-        """``repack_budget`` is a token bucket: at most that many
-        repacks outstanding at once, refilled ``repack_refill`` tokens
-        per allocation — the ECLIP "bounded repacking" knob.  With
-        ``contention=True`` the pool score folds in the
-        memory-interference slowdown of co-residency (Zahaf-style
-        placement); that path reads live device state, so it bypasses
-        the selection memo.
-        """
-        if repack_budget < 0:
-            raise ValueError("repack_budget must be >= 0")
-        if repack_refill < 0:
-            raise ValueError("repack_refill must be >= 0")
-        if switch_cost_s < 0:
-            raise ValueError("switch_cost_s must be >= 0")
-        self.generator = generator
-        topo = generator.topology
-        if size_classes is None:
-            size_classes = default_size_classes(topo.total_cus,
-                                                topo.cus_per_se)
-        for cls in size_classes:
-            if not 1 <= cls <= topo.total_cus:
-                raise ValueError(f"size class {cls} outside [1, "
-                                 f"{topo.total_cus}]")
-        self.size_classes = tuple(sorted(set(size_classes)))
-        self._classes_desc = tuple(reversed(self.size_classes))
-        self.pool_depth = pool_depth if pool_depth else topo.num_se
-        if self.pool_depth < 1:
-            raise ValueError("pool_depth must be >= 1")
-        self.repack_budget = repack_budget
-        self.repack_refill = repack_refill
+        super().__init__(topology, policy=policy,
+                         overlap_limit=overlap_limit, reshape=reshape)
         self.contention = contention
-        self.contention_weight = contention_weight
-        self.switch_cost_s = switch_cost_s
+        self.device = device
+        self._classes_desc = tuple(reversed(default_size_classes(
+            topology.total_cus, topology.cus_per_se)))
 
-        # Counters mirroring KrispAllocator, plus pool-specific stats.
-        self.allocations = 0
-        self.short_allocations = 0
-        self.degraded = 0
         self.pool_hits = 0
         self.repacks = 0
         self.fallbacks = 0
 
-        self._repack_tokens = float(repack_budget)
-        self._mask_cache: dict[int, CUMask] = {}
+        self._repack_tokens = float(REPACK_BUDGET)
         # Pure-path selection memo: without contention the chosen mask
         # is a function of (request, counter vector) and the current
         # pool contents; a stored answer stays lawful for an identical
@@ -177,39 +146,12 @@ class PooledMaskAllocator:
         # when a repack actually changes the pools.
         self._select_cache: dict[tuple[int, bytes], CUMask] = {}
         self._pools: dict[int, list[CUMask]] = {
-            cls: self._build_pool(cls) for cls in self.size_classes
+            cls: self._build_pool(cls) for cls in reversed(self._classes_desc)
         }
-        self._repack_cursor: dict[int, int] = {
-            cls: 0 for cls in self.size_classes}
-
-    _SELECT_CACHE_MAX = 1 << 16
-
-    # MaskLawChecker reads these off the "generator" it wraps.
-    @property
-    def topology(self):
-        return self.generator.topology
-
-    @property
-    def policy(self) -> DistributionPolicy:
-        return self.generator.policy
-
-    @property
-    def reshape(self) -> bool:
-        return self.generator.reshape
-
-    @property
-    def overlap_limit(self) -> int:
-        return self.generator.overlap_limit
-
-    def _intern(self, bits: int) -> CUMask:
-        mask = self._mask_cache.get(bits)
-        if mask is None:
-            mask = CUMask(self.topology, bits)
-            self._mask_cache[bits] = mask
-        return mask
+        self._repack_cursor: dict[int, int] = dict.fromkeys(self._pools, 0)
 
     def _build_pool(self, cls: int) -> list[CUMask]:
-        """Pre-generate ``pool_depth`` distribution-shaped entries.
+        """Pre-generate one distribution-shaped entry per SE.
 
         Each entry keeps the balanced per-SE split of
         :func:`se_distribution` (so L3 holds by construction) but
@@ -220,10 +162,10 @@ class PooledMaskAllocator:
         topo = self.topology
         targets = se_distribution(cls, topo, self.policy)
         per_se = topo.cus_per_se
-        stride = max(1, per_se // self.pool_depth)
+        stride = max(1, per_se // topo.num_se)
         entries: list[CUMask] = []
         seen: set[int] = set()
-        for entry in range(self.pool_depth):
+        for entry in range(topo.num_se):
             bits = 0
             start = (entry * stride) % per_se
             for position, want in enumerate(targets):
@@ -240,84 +182,68 @@ class PooledMaskAllocator:
     def pool_stats(self) -> dict[str, int]:
         """Deterministic operation counts for reports and CLI output."""
         return {
-            "allocations": self.allocations,
             "pool_hits": self.pool_hits,
             "repacks": self.repacks,
             "fallbacks": self.fallbacks,
-            "short_allocations": self.short_allocations,
-            "degraded": self.degraded,
         }
 
-    # -- core selection ------------------------------------------------------
-    def generate(self, num_cus: int,
-                 counters: CUKernelCounters) -> CUMask:
+    def generate(self, num_cus: int, counters: CUKernelCounters,
+                 descriptor: Optional[KernelDescriptor] = None) -> CUMask:
         """Law-conformant pool selection (MaskLawChecker-compatible)."""
-        return self._generate(num_cus, counters, None, None)
-
-    def _generate(self, num_cus: int, counters: CUKernelCounters,
-                  descriptor: Optional[KernelDescriptor],
-                  device: Any) -> CUMask:
         topo = self.topology
         requested = max(1, min(num_cus, topo.total_cus))
-        self._repack_tokens = min(float(self.repack_budget),
-                                  self._repack_tokens + self.repack_refill)
-        biased = (self.contention and device is not None
-                  and descriptor is not None)
+        self._repack_tokens = min(float(REPACK_BUDGET),
+                                  self._repack_tokens + REPACK_REFILL)
+        if not (self.contention and self.device is not None):
+            descriptor = None
         memo_key: Optional[tuple[int, bytes]] = None
-        if not biased:
+        if descriptor is None:
             memo_key = (requested, bytes(counters.counts_view()))
             cached = self._select_cache.get(memo_key)
             if cached is not None:
                 self.pool_hits += 1
                 return cached
 
-        # The MaskLawChecker grant window, recomputed from the same
-        # pre-allocation state the checker snapshots.
-        floor = fair_share_floor(topo.total_cus, counters.total_assigned())
-        effective = requested
-        if self.overlap_limit == 0:
-            free = topo.total_cus - counters.busy_cus()
-            effective = min(requested, max(floor, free))
-        floor_capped = min(floor, effective)
-
+        floor, effective = self._grant_window(requested, counters)
         mask: Optional[CUMask] = None
         for cls in self._classes_desc:
-            if floor_capped <= cls <= effective:
-                mask = self._pick(cls, effective, counters, descriptor,
-                                  device)
+            if floor <= cls <= effective:
+                mask = self._pick(cls, effective, counters, descriptor)
                 break
         if mask is None:
             # No size class fits the lawful window, or every entry of
             # the chosen class would break the overlap law with the
             # repack budget spent: run plain Algorithm 1.
             self.fallbacks += 1
-            mask = self.generator.generate(requested, counters)
+            mask = super().generate(requested, counters)
         if memo_key is not None and len(self._select_cache) \
                 < self._SELECT_CACHE_MAX:
             self._select_cache[memo_key] = mask
         return mask
 
     def _pick(self, cls: int, effective: int, counters: CUKernelCounters,
-              descriptor: Optional[KernelDescriptor],
-              device: Any) -> Optional[CUMask]:
+              descriptor: Optional[KernelDescriptor]) -> Optional[CUMask]:
         """Least-loaded lawful entry of class ``cls``, repacking if needed.
 
         L4 only binds when the grant equals the effective request, so a
         shrunk class (``cls < effective``) accepts any entry; a
-        full-size class must stay within the overlap limit.
+        full-size class must stay within the overlap limit.  A
+        ``descriptor`` (contention path only) adds the interference
+        penalty per occupied CU.
         """
         counts = counters.counts_view()
         entries = self._pools[cls]
         limit = self.overlap_limit
         overlap_binds = cls == effective
         penalty = 0.0
-        if self.contention and device is not None and descriptor is not None:
+        if descriptor is not None:
+            device = self.device
             slowdown = interference_slowdown(
                 descriptor.mem_intensity,
                 device.bandwidth_demand,
                 device.exec_config.mem_bandwidth_budget,
             )
-            penalty = (slowdown - 1.0) * self.contention_weight
+            penalty = (slowdown - 1.0) * CONTENTION_WEIGHT
         best: Optional[CUMask] = None
         best_score = 0.0
         for mask in entries:
@@ -342,11 +268,11 @@ class PooledMaskAllocator:
         if not overlap_binds or self._repack_tokens < 1.0:
             return None
         # Repack: regenerate one entry through Algorithm 1 against the
-        # live counters.  The generator's own floor/cap logic makes the
-        # fresh mask lawful for this request (same pre-state, same
-        # window), and the entry joins the pool for future launches.
+        # live counters.  The inherited floor/cap logic makes the fresh
+        # mask lawful for this request (same pre-state, same window),
+        # and the entry joins the pool for future launches.
         self._repack_tokens -= 1.0
-        fresh = self.generator.generate(cls, counters)
+        fresh = super().generate(cls, counters)
         if fresh.count() == cls:
             # Only exactly class-sized masks may join the pool: a
             # shrunk regrant is lawful for *this* request (L4's shrink
@@ -357,112 +283,6 @@ class PooledMaskAllocator:
             entries[slot] = fresh
             self._select_cache.clear()
         self.repacks += 1
-        if device is not None:
-            device.charge_pool_switch(self.switch_cost_s)
+        if self.device is not None:
+            self.device.charge_pool_switch(SWITCH_COST_S)
         return fresh
-
-    # -- command-processor surface -------------------------------------------
-    def allocate(self, launch: KernelLaunch, device: Any) -> CUMask:
-        """KernelScopedAllocator hook: pool entry for this launch.
-
-        Mirrors :class:`~repro.core.krisp.KrispAllocator` exactly on the
-        degradation path: a failure inside selection serves the full
-        device and traces a ``mask-fallback`` instant.
-        """
-        requested = launch.requested_cus
-        if requested is None:
-            requested = device.topology.total_cus
-        try:
-            mask = self._generate(requested, device.counters,
-                                  launch.descriptor, device)
-        except Exception:
-            self.degraded += 1
-            mask = CUMask.all_cus(device.topology)
-            tracer = device.sim.tracer
-            if tracer.enabled:
-                tracer.fault_injected("mask-fallback", {
-                    "kernel": launch.descriptor.name,
-                    "requested_cus": requested,
-                })
-        self.allocations += 1
-        if mask.count() < min(requested, device.topology.total_cus):
-            self.short_allocations += 1
-        return mask
-
-
-class PredictiveRightSizer:
-    """Online ``minCU`` adaptation over a static oracle.
-
-    Wraps a :class:`KernelRightSizer` and shrinks its answer when the
-    device is over its bandwidth budget and the kernel is memory-bound:
-    extra CUs buy nothing for a bandwidth-throttled kernel, so ceding
-    them to compute-bound co-residents is free.  The shrink mirrors the
-    throttle share (a kernel at 80 % memory intensity under 2x
-    oversubscription keeps ~60 % of its CUs), floored at ``min_cus``
-    and never exceeding the oracle.  During straggler windows (fault
-    latency scale above one) the grant is left alone — a slowed kernel
-    needs every CU it was profiled for.
-    """
-
-    def __init__(
-        self,
-        oracle: KernelRightSizer,
-        device: Any,
-        min_cus: int = 4,
-        intensity_threshold: float = 0.5,
-    ) -> None:
-        if min_cus < 1:
-            raise ValueError("min_cus must be >= 1")
-        if not 0.0 <= intensity_threshold <= 1.0:
-            raise ValueError("intensity_threshold must be in [0, 1]")
-        self.oracle = oracle
-        self.device = device
-        self.min_cus = min_cus
-        self.intensity_threshold = intensity_threshold
-        #: Decisions where the prediction shrank the oracle answer.
-        self.adjusted = 0
-        self.observations = 0
-
-    # Degradation accounting and the fault injector's perf-DB discovery
-    # both duck-type these off whatever a stream exposes as its sizer.
-    @property
-    def database(self):
-        return self.oracle.database
-
-    @property
-    def topology(self):
-        return self.oracle.topology
-
-    @property
-    def fallback_cus(self):
-        return self.oracle.fallback_cus
-
-    @property
-    def unprofiled(self):
-        return self.oracle.unprofiled
-
-    @property
-    def degraded(self) -> int:
-        return self.oracle.degraded
-
-    def __call__(self, desc: KernelDescriptor) -> Optional[int]:
-        base = self.oracle(desc)
-        if base is None:
-            return base
-        self.observations += 1
-        device = self.device
-        if device.fault_latency_scale > 1.0:
-            return base  # straggler window: do not shrink a slowed kernel
-        if desc.mem_intensity < self.intensity_threshold:
-            return base
-        budget = device.exec_config.mem_bandwidth_budget
-        demand = device.bandwidth_demand
-        if budget <= 0.0 or demand <= budget:
-            return base
-        share = budget / demand
-        scaled = int(base * ((1.0 - desc.mem_intensity)
-                             + desc.mem_intensity * share))
-        adjusted = max(self.min_cus, min(base, scaled))
-        if adjusted != base:
-            self.adjusted += 1
-        return adjusted

@@ -6,17 +6,28 @@ database, and returns the partition size to inject into the AQL packet.
 Unprofiled kernels fall back to the full device (never *shrinking* a
 kernel blindly), optionally recording the miss so an offline profiling
 pass can fill the gap — the paper amortises this at library install time.
+
+:class:`PredictiveRightSizer` is the ``sizing="predictive"`` variant: it
+adapts ``minCU`` online from the same signals
+:class:`~repro.obs.sampler.SimSampler` exports (bandwidth pressure,
+straggler fault scale), read directly off the device at decision time so
+results never depend on whether metrics collection is enabled.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from repro.core.perfdb import PerfDatabase
 from repro.gpu.kernel import KernelDescriptor
 from repro.gpu.topology import GpuTopology
 
-__all__ = ["KernelRightSizer"]
+__all__ = ["KernelRightSizer", "PredictiveRightSizer"]
+
+#: Smallest grant the predictive sizer shrinks a kernel to.
+PREDICTIVE_MIN_CUS = 4
+#: Memory intensity at or above which the predictive sizer may shrink.
+PREDICTIVE_INTENSITY_THRESHOLD = 0.5
 
 
 class KernelRightSizer:
@@ -95,3 +106,51 @@ class KernelRightSizer:
         result = min(self.topology.total_cus, min_cus + self.margin_cus)
         self._hit_cache[desc] = result
         return result
+
+
+class PredictiveRightSizer(KernelRightSizer):
+    """Online ``minCU`` adaptation over the static database answer.
+
+    Shrinks the :class:`KernelRightSizer` answer when ``device`` is over
+    its bandwidth budget and the kernel is memory-bound: extra CUs buy
+    nothing for a bandwidth-throttled kernel, so ceding them to
+    compute-bound co-residents is free.  The shrink mirrors the throttle
+    share (a kernel at 80 % memory intensity under 2x oversubscription
+    keeps ~60 % of its CUs), floored at :data:`PREDICTIVE_MIN_CUS` and
+    never exceeding the static answer.  During straggler windows (fault
+    latency scale above one) the grant is left alone — a slowed kernel
+    needs every CU it was profiled for.
+    """
+
+    def __init__(
+        self,
+        database: PerfDatabase,
+        topology: GpuTopology,
+        device: Any,
+        margin_cus: int = 0,
+        fallback_cus: Optional[int] = None,
+    ) -> None:
+        super().__init__(database, topology, margin_cus=margin_cus,
+                         fallback_cus=fallback_cus)
+        self.device = device
+        #: Decisions where the prediction shrank the static answer.
+        self.adjusted = 0
+
+    def __call__(self, desc: KernelDescriptor) -> Optional[int]:
+        base = super().__call__(desc)
+        device = self.device
+        if device.fault_latency_scale > 1.0:
+            return base  # straggler window: do not shrink a slowed kernel
+        if desc.mem_intensity < PREDICTIVE_INTENSITY_THRESHOLD:
+            return base
+        budget = device.exec_config.mem_bandwidth_budget
+        demand = device.bandwidth_demand
+        if budget <= 0.0 or demand <= budget:
+            return base
+        share = budget / demand
+        scaled = int(base * ((1.0 - desc.mem_intensity)
+                             + desc.mem_intensity * share))
+        adjusted = max(PREDICTIVE_MIN_CUS, min(base, scaled))
+        if adjusted != base:
+            self.adjusted += 1
+        return adjusted

@@ -214,7 +214,7 @@ def run_chaos(
     results are bit-identical to serial execution.  A failed cell
     raises ``RuntimeError``.  ``allocation`` and ``sizing`` select the
     mask-allocation / right-sizing policies for the KRISP cells
-    (:mod:`repro.core.pools`).
+    (:class:`~repro.core.krisp.KrispConfig`).
     """
     configs = {
         policy: ExperimentConfig(

@@ -229,10 +229,10 @@ class FaultInjector:
         taken = []
         seen: set[int] = set()
         for stream in self.setup.streams:
-            sizer = getattr(stream, "rightsizer", None) \
-                or getattr(stream, "sizer", None)
-            database = getattr(sizer, "database", None)
-            if database is None or id(database) in seen:
+            if stream.rightsizer is None:
+                continue
+            database = stream.rightsizer.database
+            if id(database) in seen:
                 continue
             seen.add(id(database))
             entries = database.take_fraction(event.fraction,

@@ -80,14 +80,14 @@ class EmulatedKernelScopedStream:
 
     Drop-in replacement for :class:`repro.runtime.stream.Stream` from the
     worker's point of view (same ``launch_kernel`` /
-    ``synchronize_signal`` interface).
+    ``synchronize_signal`` interface and ``rightsizer`` hook).
     """
 
     def __init__(
         self,
         runtime: HsaRuntime,
         allocator: KernelScopedAllocator,
-        sizer: Optional[RightSizer] = None,
+        rightsizer: Optional[RightSizer] = None,
         config: Optional[EmulationConfig] = None,
         name: str = "",
         record_masks: bool = False,
@@ -100,7 +100,7 @@ class EmulatedKernelScopedStream:
         launch."""
         self.runtime = runtime
         self.allocator = allocator
-        self.sizer = sizer
+        self.rightsizer = rightsizer
         self.config = config or EmulationConfig()
         self.name = name or "emu-stream"
         self.queue = runtime.create_queue(name=f"{self.name}.queue")
@@ -114,7 +114,8 @@ class EmulatedKernelScopedStream:
         self, descriptor: KernelDescriptor, tag: str = ""
     ) -> Signal:
         """Launch a kernel under an emulated kernel-scoped partition."""
-        requested = self.sizer(descriptor) if self.sizer else None
+        requested = (self.rightsizer(descriptor) if self.rightsizer
+                     else None)
         launch = KernelLaunch(
             descriptor=descriptor, requested_cus=requested,
             tag=tag or self.name,

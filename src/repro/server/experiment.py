@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+from repro.core.krisp import KrispConfig
 from repro.gpu.cu_mask import CUMask
 from repro.gpu.exec_model import ExecutionModelConfig
 from repro.gpu.topology import GpuTopology
@@ -81,15 +82,17 @@ class ExperimentConfig:
             raise ValueError("batch_size must be >= 1")
         if self.requests_scale <= 0:
             raise ValueError("requests_scale must be > 0")
-        from repro.core.pools import ALLOCATION_POLICIES, SIZING_POLICIES
-        if self.allocation not in ALLOCATION_POLICIES:
-            raise ValueError(
-                f"unknown allocation {self.allocation!r}; "
-                f"available: {list(ALLOCATION_POLICIES)}")
-        if self.sizing not in SIZING_POLICIES:
-            raise ValueError(
-                f"unknown sizing {self.sizing!r}; "
-                f"available: {list(SIZING_POLICIES)}")
+        self.krisp_config()  # validates allocation and sizing
+
+    def krisp_config(self) -> KrispConfig:
+        """The cell's KRISP settings, as the KRISP policies consume them.
+
+        ``overlap_limit=None`` is resolved per policy by
+        :func:`~repro.server.policies.get_policy`.
+        """
+        return KrispConfig(overlap_limit=self.overlap_limit,
+                           reshape=self.allocator_reshape,
+                           allocation=self.allocation, sizing=self.sizing)
 
     def exec_config(self) -> ExecutionModelConfig:
         """Execution-model configuration with ablation overrides applied."""
@@ -184,8 +187,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one co-location cell and return its measurements.
 
-    Harness options — tracer, recorder, metrics, sample interval, fault
-    schedule, SLO guard, post-run audit — travel in a single frozen
+    Harness options — tracer, recorder, metrics, fault schedule, SLO
+    guard, post-run audit — travel in a single frozen
     :class:`~repro.server.options.RunOptions` passed as ``options=``.
     ``RunOptions.workload`` is rejected: this runner is closed-loop.
 
@@ -206,8 +209,8 @@ def run_experiment(
     .FlightRecorder`) captures per-request flights for latency
     attribution (:mod:`repro.obs.attribution`); ``metrics`` (a
     :class:`repro.obs.MetricsRegistry`) receives periodic
-    occupancy/load/queue-depth samples every ``sample_interval``
-    simulated seconds.  All default to off and add no overhead when
+    occupancy/load/queue-depth samples every 250 simulated
+    microseconds.  All default to off and add no overhead when
     omitted.
 
     ``options.faults`` (a :class:`repro.faults.FaultSchedule`) injects the
@@ -222,7 +225,6 @@ def run_experiment(
     opts = options if options is not None else RunOptions()
     reject_unsupported("run_experiment", opts, "workload")
     tracer, recorder, metrics = opts.tracer, opts.recorder, opts.metrics
-    sample_interval = opts.sample_interval
     faults, guard, audit = opts.faults, opts.guard, opts.audit
 
     setup = ServingSetup.build(
@@ -245,7 +247,7 @@ def run_experiment(
         injector = FaultInjector(setup, faults, metrics=metrics)
 
     if metrics is not None:
-        setup.start_sampler(metrics, sample_interval, stop_time=end)
+        setup.start_sampler(metrics, stop_time=end)
 
     energy_marks: dict[str, float] = {}
 

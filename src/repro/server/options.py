@@ -1,9 +1,9 @@
 """The shared harness-option surface for every experiment runner.
 
 Every runner grew the same observability and resilience keywords one PR
-at a time — ``tracer=``, ``recorder=``, ``metrics=``, ``sample_interval=``,
-``faults=``, ``guard=``, ``audit=``, ``workload=`` — and a second device
-would have doubled the sprawl.  :class:`RunOptions` is the one frozen
+at a time — ``tracer=``, ``recorder=``, ``metrics=``, ``faults=``,
+``guard=``, ``audit=``, ``workload=`` — and a second device would have
+doubled the sprawl.  :class:`RunOptions` is the one frozen
 carrier for all of them: build it once, pass it to
 :func:`~repro.server.experiment.run_experiment`,
 :func:`~repro.server.rate_experiment.run_rate_experiment`,
@@ -25,11 +25,6 @@ from typing import Any, Callable, Optional
 
 __all__ = ["RunOptions", "reject_unsupported"]
 
-#: Sample interval threaded to :class:`~repro.obs.sampler.SimSampler`
-#: when ``metrics`` is given (matches the sampler's own default).
-DEFAULT_SAMPLE_INTERVAL = 250e-6
-
-
 @dataclass(frozen=True)
 class RunOptions:
     """Shared harness options accepted by every experiment runner.
@@ -46,11 +41,9 @@ class RunOptions:
     #: per-request latency attribution.
     recorder: Any = None
     #: Metrics registry (:class:`~repro.obs.metrics.MetricsRegistry`);
-    #: when given, a :class:`~repro.obs.sampler.SimSampler` runs at
-    #: ``sample_interval``.
+    #: when given, a :class:`~repro.obs.sampler.SimSampler` samples it
+    #: at the sampler's default interval.
     metrics: Any = None
-    #: Seconds between metric samples (used only with ``metrics``).
-    sample_interval: float = DEFAULT_SAMPLE_INTERVAL
     #: Fault schedule (:class:`~repro.faults.schedule.FaultSchedule`)
     #: armed against the run.
     faults: Any = None
@@ -62,11 +55,6 @@ class RunOptions:
     audit: Optional[Callable[..., Any]] = None
     #: Workload spec (open-loop runners only).
     workload: Any = None
-
-    def __post_init__(self) -> None:
-        if self.sample_interval <= 0:
-            raise ValueError(
-                f"sample_interval must be > 0, got {self.sample_interval}")
 
     def replace(self, **changes: Any) -> "RunOptions":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""

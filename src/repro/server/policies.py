@@ -19,7 +19,7 @@ Each policy's ``setup`` wires per-worker streams over a shared device:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro.core.allocation import DistributionPolicy, ResourceMaskGenerator
@@ -120,29 +120,19 @@ class ModelRightSizePolicy(Policy):
 
 
 class KrispPolicy(Policy):
-    """Kernel-scoped partitions; ``overlap_limit`` selects O vs I."""
+    """Kernel-scoped partitions under one :class:`KrispConfig`."""
 
-    def __init__(self, name: str, overlap_limit: Optional[int],
-                 emulated: bool = False, reshape: bool = True,
-                 allocation: str = "krisp", sizing: str = "static") -> None:
+    def __init__(self, name: str, config: KrispConfig,
+                 emulated: bool = False) -> None:
         self.name = name
-        self.overlap_limit = overlap_limit
+        self.config = config
         self.emulated = emulated
-        self.reshape = reshape
-        self.allocation = allocation
-        self.sizing = sizing
 
     def setup(self, sim, device, plans):
         batch = plans[0].batch_size
         names = tuple(sorted({plan.model.name for plan in plans}))
         database = combined_database(names, batch)
-        system = KrispSystem(
-            sim, device, database,
-            config=KrispConfig(overlap_limit=self.overlap_limit,
-                               reshape=self.reshape,
-                               allocation=self.allocation,
-                               sizing=self.sizing),
-        )
+        system = KrispSystem(sim, device, database, config=self.config)
         # Each stream degrades to its model-wise right-size when a kernel
         # is missing from the perf-DB (a complete DB never consults it).
         return [
@@ -166,19 +156,15 @@ POLICY_NAMES: tuple[str, ...] = (
 )
 
 
-def get_policy(name: str, emulated: bool = False,
-               overlap_limit: Optional[int] = None,
-               reshape: bool = True,
-               allocation: str = "krisp",
-               sizing: str = "static") -> Policy:
+def get_policy(name: str, krisp: Optional[KrispConfig] = None,
+               emulated: bool = False) -> Policy:
     """Policy factory.
 
-    ``emulated`` selects the barrier-packet emulation for the KRISP
-    policies; ``overlap_limit`` overrides KRISP's overlap budget (the
-    Fig. 16 sweep); ``reshape=False`` selects the literal single-pass
-    Algorithm 1; ``allocation``/``sizing`` select the mask-allocation
-    and right-sizing policies of :mod:`repro.core.pools`.  All are
-    ignored by the non-KRISP policies.
+    ``krisp`` carries the KRISP settings (overlap budget, reshape,
+    allocation and sizing policies); an unset ``overlap_limit`` means
+    unlimited for KRISP-O and isolation (0) for KRISP-I.  ``emulated``
+    selects the barrier-packet emulation.  Both are ignored by the
+    non-KRISP policies.
     """
     if name == "mps-default":
         return MpsDefaultPolicy()
@@ -186,14 +172,9 @@ def get_policy(name: str, emulated: bool = False,
         return StaticEqualPolicy()
     if name == "model-rightsize":
         return ModelRightSizePolicy()
-    if name == "krisp-o":
-        limit = overlap_limit  # None = unlimited oversubscription
-        return KrispPolicy("krisp-o", limit, emulated=emulated,
-                           reshape=reshape, allocation=allocation,
-                           sizing=sizing)
-    if name == "krisp-i":
-        limit = 0 if overlap_limit is None else overlap_limit
-        return KrispPolicy("krisp-i", limit, emulated=emulated,
-                           reshape=reshape, allocation=allocation,
-                           sizing=sizing)
+    if name in ("krisp-o", "krisp-i"):
+        krisp = krisp or KrispConfig()
+        if name == "krisp-i" and krisp.overlap_limit is None:
+            krisp = replace(krisp, overlap_limit=0)
+        return KrispPolicy(name, krisp, emulated=emulated)
     raise KeyError(f"unknown policy {name!r}; available: {POLICY_NAMES}")

@@ -91,7 +91,7 @@ def run_rate_experiment(
         homogeneous Poisson spec at the same rate is bit-identical to
         the legacy path, and every class's ``batch_size`` must equal
         ``config.batch_size``.  ``tracer``/``recorder``/``metrics``/
-        ``sample_interval``/``faults``/``guard``/``audit`` mirror
+        ``faults``/``guard``/``audit`` mirror
         :func:`repro.server.experiment.run_experiment` (the aligned
         option surface): observation hooks are pure, ``guard`` or a
         non-empty ``faults`` make the result carry
@@ -101,7 +101,7 @@ def run_rate_experiment(
 
     opts = options if options is not None else RunOptions()
     workload, tracer, recorder = opts.workload, opts.tracer, opts.recorder
-    metrics, sample_interval = opts.metrics, opts.sample_interval
+    metrics = opts.metrics
     faults, guard, audit = opts.faults, opts.guard, opts.audit
 
     if workload is not None:
@@ -135,7 +135,7 @@ def run_rate_experiment(
         injector = FaultInjector(setup, faults, metrics=metrics)
 
     if metrics is not None:
-        setup.start_sampler(metrics, sample_interval, stop_time=duration)
+        setup.start_sampler(metrics, stop_time=duration)
 
     sim.run(until=duration)
     if audit is not None:

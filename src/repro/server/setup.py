@@ -103,11 +103,8 @@ class ServingSetup:
         rng = RngRegistry(config.seed).fork(rng_label)
         plans = [WorkerPlan(get_model(name), config.batch_size)
                  for name in config.model_names]
-        policy = get_policy(config.policy, emulated=config.emulated,
-                            overlap_limit=config.overlap_limit,
-                            reshape=config.allocator_reshape,
-                            allocation=config.allocation,
-                            sizing=config.sizing)
+        policy = get_policy(config.policy, config.krisp_config(),
+                            emulated=config.emulated)
         streams = policy.setup(sim, device, plans)
         return cls(config=config, sim=sim, device=device, topology=topology,
                    rng=rng, plans=plans, policy=policy, streams=streams,
@@ -243,8 +240,8 @@ class ServingSetup:
                             segments_for=self._segments_fn(plan))
         return client
 
-    def start_sampler(self, metrics, sample_interval: float,
-                      stop_time: float, prefix: str = "krisp"):
+    def start_sampler(self, metrics, stop_time: float,
+                      prefix: str = "krisp"):
         """Attach the periodic occupancy/queue-depth sampler.
 
         ``prefix`` namespaces the metric families (fleet nodes use
@@ -253,8 +250,7 @@ class ServingSetup:
         """
         from repro.obs.sampler import SimSampler
         sampler = SimSampler(self.sim, self.device, metrics,
-                             queues=self.queues, interval=sample_interval,
-                             prefix=prefix)
+                             queues=self.queues, prefix=prefix)
         sampler.start(stop_time=stop_time)
         return sampler
 
@@ -264,16 +260,11 @@ class ServingSetup:
         total = 0
         seen: set[int] = set()
         for stream in self.streams:
-            sizer = getattr(stream, "rightsizer", None) \
-                or getattr(stream, "sizer", None)
-            if sizer is not None and id(sizer) not in seen:
-                seen.add(id(sizer))
-                total += getattr(sizer, "degraded", 0)
-            runtime = getattr(stream, "runtime", None)
-            allocator = getattr(runtime, "allocator", None)
-            if allocator is not None and id(allocator) not in seen:
-                seen.add(id(allocator))
-                total += getattr(allocator, "degraded", 0)
+            allocator = stream.runtime.command_processor.allocator
+            for source in (stream.rightsizer, allocator):
+                if source is not None and id(source) not in seen:
+                    seen.add(id(source))
+                    total += source.degraded
         return total
 
     def resilience_stats(self, *, window_start: float, window_end: float,

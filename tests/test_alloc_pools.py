@@ -1,11 +1,11 @@
-"""Pooled/contention-aware allocation policies (repro.core.pools).
+"""Pooled/contention-aware allocation and predictive sizing policies.
 
 Three contracts under test:
 
 * **Lawfulness** — every pool-served mask satisfies the MaskLawChecker
   laws L1-L4 at the original request, across randomized churn, overlap
   limits, and the contention-biased path, with the counters audit clean
-  throughout (:func:`run_pool_program` folds both in).
+  throughout (:func:`run_mask_program` folds both in).
 * **Bit-identity of the default path** — ``allocation="krisp"`` is
   byte-identical to the pre-policy code: the maskgen churn digest, the
   fig13a cache key, and the legacy cache-key payload are all pinned.
@@ -16,7 +16,7 @@ Three contracts under test:
 
 import pytest
 
-from repro.check.invariants import run_pool_program
+from repro.check.invariants import run_mask_program
 from repro.check.scenarios import _churn_masks
 from repro.core.allocation import (
     DistributionPolicy,
@@ -25,14 +25,11 @@ from repro.core.allocation import (
 )
 from repro.core.perfdb import PerfDatabase
 from repro.core.pools import (
-    ALLOCATION_POLICIES,
-    SIZING_POLICIES,
-    PooledMaskAllocator,
-    PredictiveRightSizer,
+    PooledMaskGenerator,
     default_size_classes,
     interference_slowdown,
 )
-from repro.core.rightsizing import KernelRightSizer
+from repro.core.rightsizing import KernelRightSizer, PredictiveRightSizer
 from repro.exp.cache import cache_key, config_to_dict, result_hash
 from repro.gpu.counters import CUKernelCounters
 from repro.gpu.device import GpuDevice
@@ -62,31 +59,46 @@ FAST = ExperimentConfig(("squeezenet",) * 2, policy="krisp-i",
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("overlap_limit", (None, 0, 8))
 def test_pool_program_laws_hold(seed, overlap_limit):
-    violations = run_pool_program(
+    violations = run_mask_program(
         seed=seed, iterations=120, overlap_limit=overlap_limit,
-        reshape=bool(seed % 2))
+        reshape=bool(seed % 2), allocation="pooled")
     assert violations == []
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_pool_program_laws_hold_under_contention(seed):
-    violations = run_pool_program(seed=seed, iterations=120,
-                                  contention=True)
+    violations = run_mask_program(seed=seed, iterations=120,
+                                  allocation="pooled-contention")
     assert violations == []
 
 
 def test_pool_program_distributed_policy():
-    violations = run_pool_program(
-        seed=3, iterations=120, policy=DistributionPolicy.DISTRIBUTED)
+    violations = run_mask_program(
+        seed=3, iterations=120, policy=DistributionPolicy.DISTRIBUTED,
+        allocation="pooled")
     assert violations == []
 
 
 def test_pool_stats_account_every_allocation():
     stats: dict = {}
-    run_pool_program(seed=0, iterations=200, stats_out=stats)
-    assert stats["allocations"] == 0  # generate() path, not allocate()
-    assert stats["pool_hits"] + stats["fallbacks"] > 0
-    assert stats["degraded"] == 0
+    run_mask_program(seed=0, iterations=200, allocation="pooled",
+                     stats_out=stats)
+    # Every request is a pool hit, a repack or an Algorithm-1 fallback.
+    assert sum(stats.values()) == 200
+
+
+def test_contention_churn_scores_the_bias():
+    # The contention churn runs over a device above its bandwidth
+    # budget, so its placements (and pool statistics) must differ from
+    # the plain pool's on the same request stream, both law-clean.
+    plain: dict = {}
+    biased: dict = {}
+    assert run_mask_program(seed=0, iterations=300, allocation="pooled",
+                            stats_out=plain) == []
+    assert run_mask_program(seed=0, iterations=300,
+                            allocation="pooled-contention",
+                            stats_out=biased) == []
+    assert plain != biased
 
 
 # -- pool construction -------------------------------------------------------
@@ -95,9 +107,9 @@ def test_default_size_classes_mi50():
 
 
 def test_pool_entries_are_class_sized_and_balanced():
-    allocator = PooledMaskAllocator(ResourceMaskGenerator(TOPO))
-    for cls, entries in allocator._pools.items():
-        targets = sorted(se_distribution(cls, TOPO, allocator.policy))
+    generator = PooledMaskGenerator(TOPO)
+    for cls, entries in generator._pools.items():
+        targets = sorted(se_distribution(cls, TOPO, generator.policy))
         assert entries, f"class {cls} has an empty pool"
         for mask in entries:
             assert mask.count() == cls
@@ -108,22 +120,12 @@ def test_pool_entries_are_class_sized_and_balanced():
             assert per_se == targets
 
 
-def test_pool_allocator_rejects_bad_knobs():
-    gen = ResourceMaskGenerator(TOPO)
-    with pytest.raises(ValueError):
-        PooledMaskAllocator(gen, repack_budget=-1)
-    with pytest.raises(ValueError):
-        PooledMaskAllocator(gen, size_classes=(0, 4))
-    with pytest.raises(ValueError):
-        PooledMaskAllocator(gen, switch_cost_s=-1e-6)
-
-
 def test_pool_selection_prefers_unloaded_entries():
-    allocator = PooledMaskAllocator(ResourceMaskGenerator(TOPO))
+    generator = PooledMaskGenerator(TOPO)
     counters = CUKernelCounters(TOPO)
-    first = allocator.generate(15, counters)
+    first = generator.generate(15, counters)
     counters.assign(first)
-    second = allocator.generate(15, counters)
+    second = generator.generate(15, counters)
     # A fresh pool has >= 2 disjoint 15-CU entries: the optimizer must
     # not stack the second kernel on the loaded one.
     assert not (first.bits & second.bits)
@@ -162,15 +164,9 @@ def test_config_rejects_unknown_policies():
 
 
 def test_cli_choices_match_policy_rosters():
-    from repro.cli import (
-        _ALLOCATION_CHOICES,
-        _FAULT_SCENARIOS,
-        _SIZING_CHOICES,
-    )
+    from repro.cli import _FAULT_SCENARIOS
     from repro.exp.chaos import CHAOS_SCENARIOS
 
-    assert _ALLOCATION_CHOICES == ALLOCATION_POLICIES
-    assert _SIZING_CHOICES == SIZING_POLICIES
     assert _FAULT_SCENARIOS == CHAOS_SCENARIOS
 
 
@@ -201,50 +197,47 @@ def _desc(mem=0.9, name="gemm"):
                             wg_duration=1e-3, mem_intensity=mem)
 
 
-def _oracle(min_cus=40):
+def _predictive(device, min_cus=40):
     db = PerfDatabase()
     db.record(_desc(), min_cus)
-    return KernelRightSizer(db, TOPO)
+    return PredictiveRightSizer(db, TOPO, device)
 
 
 def test_predictive_shrinks_memory_bound_kernels_over_budget():
     device = _DeviceStub(demand=2.0, budget=1.0)
-    sizer = PredictiveRightSizer(_oracle(40), device)
+    sizer = _predictive(device, 40)
     # share 0.5, mem 0.9: 40 * (0.1 + 0.45) = 22.
     assert sizer(_desc()) == 22
     assert sizer.adjusted == 1
 
 
 def test_predictive_leaves_compute_bound_and_under_budget_alone():
-    over = PredictiveRightSizer(_oracle(40), _DeviceStub(demand=2.0))
+    over = _predictive(_DeviceStub(demand=2.0), 40)
     assert over(_desc(mem=0.2)) == 40
-    under = PredictiveRightSizer(_oracle(40), _DeviceStub(demand=0.5))
+    under = _predictive(_DeviceStub(demand=0.5), 40)
     assert under(_desc()) == 40
     assert over.adjusted == under.adjusted == 0
 
 
 def test_predictive_skips_straggler_windows():
     device = _DeviceStub(scale=4.0, demand=2.0)
-    sizer = PredictiveRightSizer(_oracle(40), device)
+    sizer = _predictive(device, 40)
     assert sizer(_desc()) == 40
 
 
 def test_predictive_floors_at_min_cus_and_never_grows():
     device = _DeviceStub(demand=100.0, budget=1.0)
-    sizer = PredictiveRightSizer(_oracle(8), device, min_cus=4)
-    assert sizer(_desc(mem=1.0)) == 4
+    sizer = _predictive(device, 8)
+    assert sizer(_desc(mem=1.0)) == 4  # PREDICTIVE_MIN_CUS
 
 
-def test_predictive_delegates_oracle_surface():
-    oracle = _oracle()
-    sizer = PredictiveRightSizer(oracle, _DeviceStub())
-    assert sizer.database is oracle.database
-    assert sizer.topology is oracle.topology
-    assert sizer.fallback_cus is oracle.fallback_cus
-    assert sizer.unprofiled is oracle.unprofiled
+def test_predictive_sizer_is_a_right_sizer():
+    sizer = _predictive(_DeviceStub())
+    assert isinstance(sizer, KernelRightSizer)
     unknown = _desc(name="unseen")
     assert sizer(unknown) == TOPO.total_cus  # fallback passes through
-    assert sizer.degraded == oracle.degraded == 1
+    assert sizer.degraded == 1
+    assert sizer.unprofiled == {"unseen"}
 
 
 # -- pool-switch ledger ------------------------------------------------------
@@ -296,3 +289,48 @@ def test_pooled_cell_differs_from_krisp_cell():
                          allocation="pooled"))
     # Different mask placements -> different (but both valid) results.
     assert result_hash(krisp) != result_hash(pooled)
+
+
+# -- pinned policy cells -----------------------------------------------------
+#: (allocation, sizing, emulated) -> (colo4 sha256, chaos sha256).  The
+#: pooled, contention-aware and predictive policies reach no
+#: ``krisp-repro check`` pin, so these hold their serving cells fixed:
+#: the colo4 cell plain, and the same cell under the chaos scenario's
+#: mixed faults and guard.  Identical under any ``PYTHONHASHSEED``.
+POLICY_PINS = {
+    ("pooled", "static", False): (
+        "b6661f09af32bcadf7f6b2dede191cef6826892e964cf06f861d4e283be6f9e6",
+        "bc7ee876cf37ea721b411e5d2fec5d9b11039f5d528570fd8c2a21ebd90375ad"),
+    ("pooled-contention", "static", False): (
+        "58267c1a76ffac12bb67929af484007757e88d3b453018c64615462e8a39918e",
+        "339aa9b9571a6b26bb3bdfdc2a95709cb4e70a9d73387769056a21bce4e06019"),
+    ("krisp", "predictive", False): (
+        "8fc608c5021973ccd9255ccb85417979a2fb2e08760efbf08b64e3f428776249",
+        "2c897d94ea2fde3f3d36cb96dd16e628d0673a1ed3fa5a56abad93a2eba4dacb"),
+    ("pooled-contention", "predictive", False): (
+        "1f82bf7a95746a27bd6f3b644b1f25eb284fb77990c2e8db38665a30b1da1bd1",
+        "d748c520ccd204a196298ef1e36cace7d809afdeccdd7ce62bae42635b120077"),
+    ("krisp", "static", True): (
+        "e72abe42c31f91b3cb56f9171093f315c73a36b4a48c1b5f9384a8f9ce57cb67",
+        "855e5d374431c6f62e2f242bb71a90a3731a41afd579794a3f320cf8be24b71f"),
+    ("pooled-contention", "predictive", True): (
+        "7266b7086867ffbd01fbc1e2cabe6fc0269c8f4c366edab8e2863e4aaf22207b",
+        "48bacf8bf5226ab7be8b077092f26be9d70341eebcde0fd9211ec964275c877f"),
+}
+
+
+@pytest.mark.parametrize("chaos", (False, True), ids=("colo4", "chaos"))
+@pytest.mark.parametrize("allocation,sizing,emulated", tuple(POLICY_PINS))
+def test_policy_cells_are_pinned(allocation, sizing, emulated, chaos):
+    from dataclasses import replace
+
+    from repro.check.scenarios import CHAOS_GUARD, COLO4_CONFIG, chaos_faults
+    from repro.server.options import RunOptions
+
+    config = replace(COLO4_CONFIG, allocation=allocation, sizing=sizing,
+                     emulated=emulated)
+    options = RunOptions()
+    if chaos:
+        options = RunOptions(faults=chaos_faults(config), guard=CHAOS_GUARD)
+    pin = POLICY_PINS[(allocation, sizing, emulated)][int(chaos)]
+    assert result_hash(run_experiment(config, options)) == pin

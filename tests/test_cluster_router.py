@@ -24,7 +24,7 @@ def _started_cluster(**overrides):
                 pool_size=2, pool_min=1)
     base.update(overrides)
     cluster = ClusterSetup.build(ClusterConfig(**base))
-    cluster.start(stop_time=1.0, sample_interval=250e-6)
+    cluster.start(stop_time=1.0)
     return cluster
 
 

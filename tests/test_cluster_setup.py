@@ -48,7 +48,7 @@ def test_build_wires_nodes_and_slots_in_order():
 def test_start_activates_pool_min_immediately():
     config = _config()
     cluster = ClusterSetup.build(config)
-    cluster.start(stop_time=1.0, sample_interval=250e-6)
+    cluster.start(stop_time=1.0)
     for node in cluster.nodes:
         pool = node.pools["squeezenet"]
         assert node.active_count("squeezenet") == config.pool_min
@@ -63,7 +63,7 @@ def test_start_activates_pool_min_immediately():
 
 def test_mid_run_activation_pays_cold_start():
     cluster = ClusterSetup.build(_config(devices=1))
-    cluster.start(stop_time=1.0, sample_interval=250e-6)
+    cluster.start(stop_time=1.0)
     cluster.sim.run(until=0.01)
     slot = cluster.nodes[0].pools["squeezenet"][1]
     cluster.activate_slot(slot)

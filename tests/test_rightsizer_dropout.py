@@ -140,11 +140,8 @@ def test_bounded_dropout_restores_database_in_a_live_cell():
 
     def audit(setup, injector):
         for stream in setup.streams:
-            sizer = getattr(stream, "rightsizer", None) \
-                or getattr(stream, "sizer", None)
-            db = getattr(sizer, "database", None)
-            if db is not None:
-                sizes[id(db)] = len(db)
+            db = stream.rightsizer.database
+            sizes[id(db)] = len(db)
 
     result = run_experiment(config, RunOptions(
         faults=faults, guard=SloGuard(deadline=0.25, admission_depth=8),

@@ -92,7 +92,7 @@ def test_emulated_masks_are_applied_per_kernel():
     sizes = iter([12, 30, 60])
     stream = EmulatedKernelScopedStream(
         runtime, allocator=allocator,
-        sizer=lambda desc: next(sizes), name="emu")
+        rightsizer=lambda desc: next(sizes), name="emu")
     masks = []
     device_launch = device.launch
 

@@ -7,6 +7,11 @@ strict run-to-run equality), and both harnesses now accept the same
 observability keyword surface.
 """
 
+import dataclasses
+
+import pytest
+
+from repro.core.allocation import ResourceMaskGenerator
 from repro.exp.cache import cache_key, result_hash, result_to_dict
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
@@ -18,6 +23,7 @@ from repro.server.experiment import (
 from repro.server.rate_experiment import run_rate_experiment
 from repro.server.options import RunOptions
 from repro.server.setup import ServingSetup
+from repro.server.slo import SloGuard
 
 FAST = ExperimentConfig(("squeezenet",) * 2, policy="krisp-i",
                         batch_size=4, requests_scale=0.25)
@@ -88,15 +94,14 @@ def test_open_loop_shares_one_queue(monkeypatch, tmp_path):
 
 
 def test_rate_experiment_accepts_observability_kwargs(monkeypatch, tmp_path):
-    """``run_rate_experiment`` takes the same tracer/metrics/
-    sample_interval keywords as ``run_experiment`` (API alignment)."""
+    """``run_rate_experiment`` takes the same tracer/metrics options
+    as ``run_experiment`` (API alignment)."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     tracer = Tracer()
     metrics = MetricsRegistry()
     result = run_rate_experiment(
         FAST, offered_rps=100.0, duration=0.5,
-        options=RunOptions(tracer=tracer, metrics=metrics,
-                           sample_interval=1e-3))
+        options=RunOptions(tracer=tracer, metrics=metrics))
     assert result.achieved_rps > 0
     assert tracer.requests_traced > 0
     assert len(metrics) > 0
@@ -109,3 +114,28 @@ def test_rate_experiment_accepts_observability_kwargs(monkeypatch, tmp_path):
     assert traced.achieved_rps == plain.achieved_rps
     assert traced.latency == plain.latency
     assert traced.queue_residue == plain.queue_residue
+
+
+@pytest.mark.parametrize("emulated", (False, True),
+                         ids=("native", "emulated"))
+def test_allocator_fallbacks_reach_resilience_degraded(monkeypatch,
+                                                       emulated):
+    """A failing mask generator degrades every launch to the full device,
+    and a guarded cell reports each of those fallbacks as degraded."""
+    def broken(self, num_cus, counters, descriptor=None):
+        raise RuntimeError("mask generator down")
+
+    monkeypatch.setattr(ResourceMaskGenerator, "generate", broken)
+    allocators = []
+
+    def audit(setup, injector):
+        allocators.extend({id(s.runtime.command_processor.allocator):
+                           s.runtime.command_processor.allocator
+                           for s in setup.streams}.values())
+
+    result = run_experiment(
+        dataclasses.replace(FAST, emulated=emulated),
+        RunOptions(guard=SloGuard(deadline=0.25), audit=audit))
+    (allocator,) = allocators
+    assert allocator.degraded == allocator.allocations > 0
+    assert result.resilience.degraded == allocator.degraded
