@@ -14,7 +14,8 @@ be explored without writing code:
   report (deterministic JSON and markdown) with an exact conservation
   audit.
 * ``table3`` — regenerate the Table III workload characterisation.
-* ``rate MODEL --rps N`` — open-loop serving at a fixed request rate.
+* ``rate MODEL --rps N`` — open-loop serving at a fixed request rate
+  (prints the result hash).
 * ``load SPEC.yaml`` — a latency-vs-offered-rate curve over a workload
   spec (Poisson/bursty/diurnal/trace arrivals, LLM phases), cached and
   parallelisable point-by-point.
@@ -297,6 +298,8 @@ def _cmd_table3(args: argparse.Namespace) -> int:
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
+    from repro.exp.cache import rate_result_hash
+
     config = ExperimentConfig(
         model_names=(args.model,) * args.workers, policy=args.policy,
         batch_size=args.batch)
@@ -308,6 +311,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     print(f"p95 latency (incl. queueing): {result.latency.p95 * 1e3:.2f} ms")
     print(f"saturated: {'yes' if result.saturated else 'no'} "
           f"(queue residue {result.queue_residue})")
+    print(f"result hash {rate_result_hash(result)}")
     return 1 if result.saturated else 0
 
 

@@ -29,7 +29,7 @@ from repro.cluster.experiment import (
 )
 from repro.cluster.faults import ClusterFaultDriver
 from repro.cluster.fleet import FleetCell, FleetReport, run_fleet
-from repro.cluster.router import ClusterRouter, FleetClient
+from repro.cluster.router import ClusterRouter
 from repro.cluster.setup import ClusterNode, ClusterSetup, PoolSlot
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "ClusterRouter",
     "ClusterSetup",
     "FleetCell",
-    "FleetClient",
     "FleetReport",
     "NodeStats",
     "PoolAutoscaler",

@@ -3,7 +3,9 @@
 :func:`run_cluster_experiment` is the fleet counterpart of
 :func:`~repro.server.rate_experiment.run_rate_experiment`: it drives a
 :class:`~repro.cluster.config.ClusterConfig` fleet open-loop with a
-workload spec, routes every request through the cluster router, lets the
+workload spec through the same
+:class:`~repro.workload.client.WorkloadClient`, routes every request
+through the cluster router, lets the
 :class:`~repro.cluster.autoscaler.PoolAutoscaler` resize pools from
 sampled load, and returns a :class:`ClusterResult` with fleet-wide
 throughput/latency/shed accounting, per-node statistics, the full
@@ -34,12 +36,13 @@ from typing import Any, Optional
 from repro.cluster.autoscaler import PoolAutoscaler, ScaleEvent
 from repro.cluster.config import AutoscalerConfig, ClusterConfig
 from repro.cluster.faults import ClusterFaultDriver
-from repro.cluster.router import ClusterRouter, FleetClient
+from repro.cluster.router import ClusterRouter
 from repro.cluster.setup import ClusterSetup
 from repro.exp.cache import rate_cache_key
 from repro.server.metrics import LatencyStats
 from repro.server.options import RunOptions, reject_unsupported
-from repro.workload.spec import WorkloadSpec
+from repro.workload.client import WorkloadClient
+from repro.workload.spec import WorkloadSpec, check_deployment
 
 __all__ = [
     "ClusterCell",
@@ -185,12 +188,7 @@ def run_cluster_experiment(
         duration = DEFAULT_FLEET_DURATION
     spec = workload if offered_rps is None else workload.at_rate(offered_rps)
     offered = spec.offered_rps()
-    mismatched = sorted({c.batch_size for c in spec.request_classes()}
-                        - {config.batch_size})
-    if mismatched:
-        raise ValueError(
-            f"workload class batch sizes {mismatched} differ from "
-            f"cluster batch_size={config.batch_size}")
+    check_deployment(spec, config.model_names, config.batch_size)
 
     cluster = ClusterSetup.build(
         config, tracer=opts.tracer, recorder=opts.recorder,
@@ -201,7 +199,8 @@ def run_cluster_experiment(
         driver = ClusterFaultDriver(cluster, router, opts.faults,
                                     metrics=opts.metrics)
     cluster.start(stop_time=duration)
-    client = FleetClient(cluster, router, spec, stop_time=duration)
+    client = WorkloadClient(cluster.sim, spec, router.route,
+                            rng=cluster.rng, stop_time=duration)
     scaler = None
     if autoscaler is not None:
         scaler = PoolAutoscaler(cluster, autoscaler)

@@ -17,27 +17,22 @@ Policies (the :data:`~repro.cluster.config.ROUTER_POLICIES` registry):
   exists (the model is resident — no cold start), pricing cold slots by
   their :class:`~repro.faults.schedule.ReloadCostModel` reload time.
 
-:class:`FleetClient` is the open-loop injection loop of
-:class:`~repro.workload.client.WorkloadClient` re-pointed at the router:
-same ``arrivals`` / ``workload-mix`` / ``workload-lengths`` stream
-discipline (drawn from the *cluster* RNG fork, so arrival times are
-invariant across fleet size and policy), with per-request placement
-instead of fixed per-model queues.
+A fleet run's open-loop arrivals come from the one
+:class:`~repro.workload.client.WorkloadClient`, delivering every request
+to :meth:`ClusterRouter.route` and drawing from the *cluster* RNG fork,
+so arrival times are invariant across fleet size and policy.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.cluster.config import ROUTER_POLICIES
 from repro.cluster.setup import ClusterSetup, PoolSlot
 from repro.faults.schedule import ReloadCostModel
 from repro.server.request import InferenceRequest
-from repro.sim.process import Process
-from repro.workload.arrivals import TraceArrivals
-from repro.workload.spec import TraceWorkloadSpec, WorkloadSpec
 
-__all__ = ["ClusterRouter", "FleetClient"]
+__all__ = ["ClusterRouter"]
 
 
 def _slot_load(slot: PoolSlot) -> int:
@@ -107,100 +102,3 @@ class ClusterRouter:
             return slot.queue.offer(request)
         slot.queue.put(request)
         return True
-
-
-class FleetClient:
-    """Open-loop workload injection through the router.
-
-    The loop is :class:`~repro.workload.client.WorkloadClient` with
-    placement: one gap drawn from the cluster's ``arrivals`` stream per
-    emission, class from ``workload-mix``, LLM output length from
-    ``workload-lengths``, then :meth:`ClusterRouter.route` instead of a
-    fixed queue.  Arrivals rejected by admission or left unroutable are
-    lost (open-loop semantics); the next arrival is drawn regardless.
-    """
-
-    def __init__(self, cluster: ClusterSetup, router: ClusterRouter,
-                 spec: WorkloadSpec, stop_time: float) -> None:
-        self.sim = cluster.sim
-        self.router = router
-        self.spec = spec
-        self.stop_time = stop_time
-        self.issued = 0
-        self.issued_per_model: dict[str, int] = {}
-        self.process: Optional[Process] = None
-
-        configured = set(cluster.config.model_names)
-        missing = sorted({c.model for c in spec.request_classes()}
-                         - configured)
-        if missing:
-            raise ValueError(f"workload models {missing} are not in "
-                             f"cluster model_names {sorted(configured)}")
-
-        if isinstance(spec, TraceWorkloadSpec):
-            for entry in spec.entries:
-                if entry.time >= stop_time:
-                    continue
-                self.sim.schedule(entry.time, lambda e=entry: self._emit(
-                    e.model, e.batch_size, e.output_tokens))
-            return
-
-        classes = spec.request_classes()
-        self._classes = classes
-        self._arrivals_rng = cluster.rng.stream("arrivals")
-        self._mix_rng = cluster.rng.stream("workload-mix") \
-            if len(classes) > 1 else None
-        self._total_weight = sum(c.weight for c in classes)
-        self._lengths_rng = cluster.rng.stream("workload-lengths") \
-            if any(c.output_tokens is not None for c in classes) else None
-
-        if isinstance(spec.arrivals, TraceArrivals):
-            for t in spec.arrivals.times:
-                if t >= stop_time:
-                    continue
-                self.sim.schedule(t, self._emit_drawn_class)
-        else:
-            self.process = Process(self.sim, self._run(),
-                                   name="fleet-client")
-
-    def _run(self) -> Iterator:
-        for gap in self.spec.arrivals.gaps(self._arrivals_rng):
-            yield gap
-            if self.sim.now >= self.stop_time:
-                return
-            self._emit_drawn_class()
-
-    def _draw_class(self) -> int:
-        if self._mix_rng is None:
-            return 0
-        draw = float(self._mix_rng.random()) * self._total_weight
-        acc = 0.0
-        for index, cls in enumerate(self._classes):
-            acc += cls.weight
-            if draw < acc:
-                return index
-        return len(self._classes) - 1
-
-    def _emit_drawn_class(self) -> None:
-        cls = self._classes[self._draw_class()]
-        tokens: Optional[int] = None
-        if cls.output_tokens is not None:
-            lo, hi = cls.output_tokens
-            tokens = int(self._lengths_rng.integers(lo, hi + 1))
-        self._emit(cls.model, cls.batch_size, tokens)
-
-    def _emit(self, model: str, batch_size: int,
-              output_tokens: Optional[int]) -> None:
-        request = InferenceRequest(
-            model_name=model,
-            batch_size=batch_size,
-            arrival_time=self.sim.now,
-            output_tokens=output_tokens,
-        )
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.request_arrival(request)
-        self.router.route(request)
-        self.issued += 1
-        self.issued_per_model[model] = \
-            self.issued_per_model.get(model, 0) + 1

@@ -40,14 +40,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Union
 
 __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "TraceRecord",
     "Tracer",
-    "events_from_kernel_records",
 ]
 
 
@@ -440,39 +439,3 @@ class Tracer:
         payload = self.to_chrome_trace()
         Path(path).write_text(json.dumps(payload, separators=(",", ":")))
         return len(payload["traceEvents"])
-
-
-def events_from_kernel_records(trace: Sequence[Any]) -> list[dict]:
-    """Chrome trace events for a device kernel trace (``device.trace``).
-
-    The pre-tracer export path: one thread row per worker tag, complete
-    ``X`` events for finished kernels with their CU-mask metadata.
-    :mod:`repro.analysis.trace_export` wraps this for backward
-    compatibility; new code should record through :class:`Tracer`.
-    """
-    tags = sorted({record.launch.tag or "untagged" for record in trace})
-    tid_of = {tag: index + 1 for index, tag in enumerate(tags)}
-    events: list[dict] = [
-        {"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-         "args": {"name": tag}}
-        for tag, tid in tid_of.items()
-    ]
-    for record in trace:
-        if record.end_time is None:
-            continue
-        desc = record.launch.descriptor
-        events.append({
-            "name": desc.name,
-            "ph": "X",
-            "pid": 1,
-            "tid": tid_of[record.launch.tag or "untagged"],
-            "ts": record.start_time * 1e6,
-            "dur": (record.end_time - record.start_time) * 1e6,
-            "args": {
-                "cus": record.mask.count(),
-                "per_se": record.mask.per_se_counts(),
-                "workgroups": desc.workgroups,
-                "requested_cus": record.launch.requested_cus,
-            },
-        })
-    return events

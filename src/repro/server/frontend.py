@@ -1,23 +1,19 @@
-"""Inference frontend: client load generators.
+"""Inference frontend: the closed-loop load generator.
 
 The paper's evaluation "drives the GPU and inference server at maximum
 load", which :class:`ClosedLoopClient` models: a fixed number of
 outstanding requests per worker, each completion immediately re-arming a
-new request.  :class:`PoissonClient` is an open-loop generator for
-rate-driven studies beyond the paper's evaluation.
+new request.  Open-loop load, for rate-driven studies beyond the paper's
+evaluation, has one client: :class:`~repro.workload.client
+.WorkloadClient`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-import numpy as np
-
 from repro.server.request import InferenceRequest, RequestQueue
 from repro.sim.engine import Simulator
-from repro.sim.process import Process
 
-__all__ = ["ClosedLoopClient", "PoissonClient"]
+__all__ = ["ClosedLoopClient"]
 
 
 class ClosedLoopClient:
@@ -80,49 +76,3 @@ class ClosedLoopClient:
         if request.injected:
             return
         self._issue()
-
-
-class PoissonClient:
-    """Open-loop Poisson arrivals at ``rate`` requests per second."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        queue: RequestQueue,
-        model_name: str,
-        batch_size: int,
-        rate: float,
-        rng: np.random.Generator,
-        stop_time: float,
-    ) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be > 0")
-        self.sim = sim
-        self.queue = queue
-        self.model_name = model_name
-        self.batch_size = batch_size
-        self.rate = rate
-        self.rng = rng
-        self.stop_time = stop_time
-        self.issued = 0
-        self.process = Process(sim, self._run(), name="poisson-client")
-
-    def _run(self) -> Iterator:
-        while True:
-            gap = float(self.rng.exponential(1.0 / self.rate))
-            yield gap
-            if self.sim.now >= self.stop_time:
-                return
-            request = InferenceRequest(
-                model_name=self.model_name,
-                batch_size=self.batch_size,
-                arrival_time=self.sim.now,
-            )
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                tracer.request_arrival(request)
-            # Open loop: an admission-rejected arrival is simply lost
-            # (the queue counts it as shed); the next arrival is drawn
-            # regardless, preserving the offered rate.
-            self.queue.offer(request)
-            self.issued += 1

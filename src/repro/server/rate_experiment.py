@@ -2,13 +2,15 @@
 
 The paper evaluates at maximum load; prior inference servers additionally
 adapt to fluctuating request rates.  This extension drives a co-located
-deployment with Poisson arrivals at a given rate and measures end-to-end
-(queueing-inclusive) latency, enabling max-sustainable-throughput
-searches under an SLO — the natural next question a KRISP adopter asks.
+deployment with Poisson arrivals at a given rate (or any workload spec)
+and measures end-to-end (queueing-inclusive) latency, enabling
+max-sustainable-throughput searches under an SLO — the natural next
+question a KRISP adopter asks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,11 +66,15 @@ def run_rate_experiment(
 ) -> RateResult:
     """Drive the deployment open-loop and measure end-to-end latency.
 
-    With only ``offered_rps`` given, arrivals are Poisson at that rate:
-    all workers share one request queue (any worker may serve any
-    request), matching the paper's frontend/queue/worker architecture.
-    Requests arrive in batches of ``config.batch_size``, so the arrival
-    rate of batches is ``offered_rps / batch_size``.
+    Every run injects a workload spec through
+    :meth:`~repro.server.setup.ServingSetup.add_workload`.  With only
+    ``offered_rps`` given, the spec is Poisson at that rate on the
+    deployment's one model: all workers share one request queue (any
+    worker may serve any request), matching the paper's
+    frontend/queue/worker architecture.  Requests arrive in batches of
+    ``config.batch_size``, so the arrival rate of batches is
+    ``offered_rps / batch_size``.  A deployment of several models needs
+    a spec that says which requests go where (``options.workload``).
 
     Harness options travel in a single frozen
     :class:`~repro.server.options.RunOptions` passed as ``options=``.
@@ -78,19 +84,17 @@ def run_rate_experiment(
     offered_rps:
         Offered load in requests per second.  Optional when
         ``options.workload`` is given (it then defaults to the spec's
-        ``offered_rps()``); passing both pins the RNG fork label to the
-        explicit rate, which the Poisson-equivalence tests rely on.
+        ``offered_rps()``); passing both requires them to agree (rescale
+        the spec with ``at_rate``).  The rate names the run's RNG fork.
     duration:
         Run length in sim seconds; defaults to
         :func:`default_rate_duration`.
     options:
         A :class:`~repro.server.options.RunOptions`.  ``workload`` (a
-        :mod:`repro.workload` spec) replaces the Poisson client with the
-        spec's arrival process and request mix via
-        :meth:`~repro.server.setup.ServingSetup.add_workload` — a
-        homogeneous Poisson spec at the same rate is bit-identical to
-        the legacy path, and every class's ``batch_size`` must equal
-        ``config.batch_size``.  ``tracer``/``recorder``/``metrics``/
+        :mod:`repro.workload` spec) replaces the plain Poisson spec with
+        the spec's arrival process and request mix; every class's
+        ``batch_size`` must equal ``config.batch_size`` and its model
+        must be configured.  ``tracer``/``recorder``/``metrics``/
         ``faults``/``guard``/``audit`` mirror
         :func:`repro.server.experiment.run_experiment` (the aligned
         option surface): observation hooks are pure, ``guard`` or a
@@ -98,24 +102,35 @@ def run_rate_experiment(
         :class:`~repro.server.slo.ResilienceStats`.
     """
     from repro.server.setup import ServingSetup
+    from repro.workload.arrivals import PoissonArrivals
+    from repro.workload.spec import HomogeneousWorkloadSpec, check_deployment
 
     opts = options if options is not None else RunOptions()
     workload, tracer, recorder = opts.workload, opts.tracer, opts.recorder
     metrics = opts.metrics
     faults, guard, audit = opts.faults, opts.guard, opts.audit
 
-    if workload is not None:
-        mismatched = sorted({c.batch_size
-                             for c in workload.request_classes()}
-                            - {config.batch_size})
-        if mismatched:
+    if workload is None:
+        if offered_rps is None or offered_rps <= 0:
+            raise ValueError("offered_rps must be > 0")
+        if len(set(config.model_names)) > 1:
             raise ValueError(
-                f"workload class batch sizes {mismatched} differ from "
-                f"config.batch_size={config.batch_size}")
-        if offered_rps is None:
-            offered_rps = workload.offered_rps()
-    if offered_rps is None or offered_rps <= 0:
-        raise ValueError("offered_rps must be > 0")
+                "a plain offered_rps run serves a single model; pass "
+                "RunOptions(workload=...) to say which requests go to "
+                f"which of {sorted(set(config.model_names))}")
+        workload = HomogeneousWorkloadSpec(
+            config.model_names[0],
+            PoissonArrivals(rate=offered_rps / config.batch_size),
+            batch_size=config.batch_size)
+    elif offered_rps is None:
+        offered_rps = workload.offered_rps()
+    elif not math.isclose(offered_rps, workload.offered_rps(),
+                          rel_tol=1e-9):
+        raise ValueError(
+            f"offered_rps={offered_rps} differs from the workload's own "
+            f"rate {workload.offered_rps()}; rescale the spec with "
+            f"at_rate({offered_rps}) instead")
+    check_deployment(workload, config.model_names, config.batch_size)
     setup = ServingSetup.build(config, rng_label=f"rate/{offered_rps}",
                                tracer=tracer, guard=guard,
                                recorder=recorder)
@@ -123,11 +138,7 @@ def run_rate_experiment(
 
     if duration is None:
         duration = default_rate_duration(config)
-
-    if workload is None:
-        setup.add_open_loop(offered_rps, stop_time=duration)
-    else:
-        setup.add_workload(workload, stop_time=duration)
+    setup.add_workload(workload, stop_time=duration)
 
     injector = None
     if faults is not None and len(faults):

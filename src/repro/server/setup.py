@@ -9,7 +9,7 @@ results.  :class:`ServingSetup` is that wiring, once: :meth:`ServingSetup
 .build` performs the construction in the exact historical order (object
 creation order determines event sequence numbers at t=0, so reordering
 would change results), and the harnesses add their load shape on top
-through :meth:`add_closed_loop_worker` / :meth:`add_open_loop`.
+through :meth:`add_closed_loop_worker` / :meth:`add_workload`.
 
 The builder also carries the robustness surface: an optional
 :class:`~repro.server.slo.SloGuard` threaded into every queue and worker
@@ -25,7 +25,7 @@ from typing import Optional
 from repro.gpu.device import GpuDevice
 from repro.gpu.topology import GpuTopology
 from repro.models.zoo import get_model
-from repro.server.frontend import ClosedLoopClient, PoissonClient
+from repro.server.frontend import ClosedLoopClient
 from repro.server.policies import Policy, WorkerPlan, get_policy
 from repro.server.request import RequestQueue
 from repro.server.slo import ResilienceStats, SloGuard
@@ -163,21 +163,6 @@ class ServingSetup:
         return self.add_worker(index, queue, stop_time=stop_time,
                                on_complete=client.on_request_complete)
 
-    def add_open_loop(self, offered_rps: float, *,
-                      stop_time: float) -> PoissonClient:
-        """One shared queue + Poisson client + all workers (rate shape)."""
-        first = self.plans[0]
-        queue = self.new_queue("shared", first.model.name, first.batch_size)
-        client = PoissonClient(
-            self.sim, queue, first.model.name, self.config.batch_size,
-            rate=offered_rps / self.config.batch_size,
-            rng=self.rng.stream("arrivals"), stop_time=stop_time,
-        )
-        self.clients.append(client)
-        for index in range(len(self.plans)):
-            self.add_worker(index, queue, stop_time=stop_time)
-        return client
-
     @staticmethod
     def _segments_fn(plan: WorkerPlan):
         """Per-request segment override for LLM plans (else ``None``)."""
@@ -193,29 +178,19 @@ class ServingSetup:
     def add_workload(self, spec, *, stop_time: float):
         """Queues + workload client + all workers for a workload spec.
 
-        Single-model specs reproduce the historical open-loop wiring
-        exactly — one ``shared`` queue served by every worker, arrival
-        gaps drawn from the ``arrivals`` stream — so a homogeneous
-        Poisson spec is bit-identical to :meth:`add_open_loop` at the
-        same rate.  Multi-model specs route each class to a per-model
-        ``wl-{model}`` queue served by that model's workers (a worker
-        only ever runs its own plan's kernels); workers of a configured
-        model the spec never sends traffic to idle on an ``idle-{model}``
-        queue.
+        The caller has checked the spec against the deployment
+        (:func:`~repro.workload.spec.check_deployment`).  When the whole
+        deployment serves the spec's single model, every worker shares
+        one ``shared`` queue (any worker may serve any request — the
+        paper's frontend/queue/worker shape, and a plain-rate run's
+        wiring).  Otherwise each class goes to a per-model ``wl-{model}``
+        queue served by that model's workers (a worker only ever runs
+        its own plan's kernels); workers of a configured model the spec
+        never sends traffic to idle on an ``idle-{model}`` queue.
         """
         from repro.workload.client import WorkloadClient
 
         classes = spec.request_classes()
-        configured = {plan.model.name for plan in self.plans}
-        missing = sorted({c.model for c in classes} - configured)
-        if missing:
-            raise ValueError(
-                f"workload models {missing} are not in "
-                f"config.model_names {sorted(configured)}")
-        # Legacy-identical wiring (one shared queue, every worker) only
-        # when the whole deployment serves the spec's single model —
-        # otherwise a worker would run its own plan's kernels against
-        # another model's requests.
         single = (len({c.model for c in classes}) == 1
                   and all(plan.model.name == classes[0].model
                           for plan in self.plans))
@@ -225,8 +200,12 @@ class ServingSetup:
                 name = "shared" if single else f"wl-{cls.model}"
                 queue_for[cls.model] = self.new_queue(
                     name, cls.model, cls.batch_size)
-        client = WorkloadClient(self.sim, spec, queues=queue_for,
-                                rng=self.rng, stop_time=stop_time)
+
+        def deliver(request):
+            return queue_for[request.model_name].offer(request)
+
+        client = WorkloadClient(self.sim, spec, deliver, rng=self.rng,
+                                stop_time=stop_time)
         self.clients.append(client)
         for index, plan in enumerate(self.plans):
             if single:

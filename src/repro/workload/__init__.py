@@ -11,10 +11,11 @@ This package is that traffic layer, in three parts:
 * :mod:`repro.workload.spec` — frozen, hashable, JSON/YAML-serialisable
   workload specs (homogeneous / heterogeneous mixes / trace replay)
   that join the content-addressed cache key;
-* :mod:`repro.workload.client` — the injector compiling a spec into
-  sim-clock requests through :meth:`repro.server.setup.ServingSetup
-  .add_workload` and the ``workload=`` path of
-  :func:`~repro.server.rate_experiment.run_rate_experiment`.
+* :mod:`repro.workload.client` — the one open-loop injector, compiling
+  a spec into sim-clock requests for every open-loop run: each
+  :func:`~repro.server.rate_experiment.run_rate_experiment` (through
+  :meth:`repro.server.setup.ServingSetup.add_workload`) and each fleet
+  run (through the cluster router).
 
 ``krisp-repro load`` (and :func:`repro.exp.load.run_load_curve`) sweep a
 spec across offered rates into latency-vs-rate curves.
@@ -38,6 +39,7 @@ from repro.workload.spec import (
     TraceEntry,
     TraceWorkloadSpec,
     WorkloadSpec,
+    check_deployment,
     load_workload,
     spec_hash,
     workload_from_dict,
@@ -61,6 +63,7 @@ __all__ = [
     "TraceEntry",
     "TraceWorkloadSpec",
     "WorkloadSpec",
+    "check_deployment",
     "load_workload",
     "spec_hash",
     "workload_from_dict",

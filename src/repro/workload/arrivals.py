@@ -4,10 +4,9 @@ Every process is a frozen dataclass — data, like
 :class:`~repro.faults.schedule.FaultSchedule` events — that turns a named
 RNG stream (:mod:`repro.sim.rng`) into a stream of inter-arrival *gaps*.
 The gaps are drawn lazily, one per arrival, and accumulated on the sim
-clock by the consuming client: the engine's ``now + gap`` left-fold is
-exactly the accumulation the historical
-:class:`~repro.server.frontend.PoissonClient` performs, so a
-:class:`PoissonArrivals` stream is bit-identical to it at the same rate.
+clock (the engine's ``now + gap`` left-fold) by the one open-loop
+client, :class:`~repro.workload.client.WorkloadClient`.  A plain-rate
+run is a :class:`PoissonArrivals` stream.
 
 Kinds:
 
@@ -62,8 +61,8 @@ class PoissonArrivals:
             raise ValueError("arrival rate must be > 0")
 
     def gaps(self, rng: np.random.Generator) -> Iterator[float]:
-        """Inter-arrival gaps, drawn lazily (one ``exponential`` per
-        arrival — the exact draw sequence of ``PoissonClient``)."""
+        """Inter-arrival gaps, drawn lazily: one ``exponential`` of mean
+        ``1 / rate`` per arrival."""
         while True:
             yield float(rng.exponential(1.0 / self.rate))
 

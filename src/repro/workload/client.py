@@ -1,11 +1,15 @@
 """The workload client: compiles a spec into sim-clock request injection.
 
-One client per serving cell.  For generative arrival processes it runs a
-``workload-client`` process whose loop is the historical
-:class:`~repro.server.frontend.PoissonClient` loop verbatim — draw one
-gap from the ``arrivals`` RNG stream, sleep, emit — so a homogeneous
-Poisson spec at rate ``r`` is bit-identical to ``add_open_loop`` at the
-same rate.  Heterogeneous mixes draw the request class from a *separate*
+The only open-loop injection loop.  One client per run hands each
+request to a ``deliver`` callable: the per-model queue's ``offer`` on one
+device (:meth:`~repro.server.setup.ServingSetup.add_workload`), and
+:meth:`~repro.cluster.router.ClusterRouter.route` on a fleet.  A plain
+``offered_rps`` run is a homogeneous Poisson spec through this same
+client.
+
+For generative arrival processes it runs a ``workload-client`` process:
+draw one gap from the ``arrivals`` RNG stream, sleep, emit.
+Heterogeneous mixes draw the request class from a *separate*
 ``workload-mix`` stream and LLM output lengths from ``workload-lengths``,
 keeping the arrival gaps themselves invariant across mix changes.
 
@@ -18,9 +22,9 @@ re-accumulating float gaps.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from repro.server.request import InferenceRequest, RequestQueue
+from repro.server.request import InferenceRequest
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
@@ -33,29 +37,25 @@ __all__ = ["WorkloadClient"]
 class WorkloadClient:
     """Open-loop request injection for one workload spec.
 
-    ``queues`` maps each class model to its request queue (one shared
-    queue for single-model specs, per-model queues otherwise).  Arrivals
-    rejected by admission control are simply lost — the queue counts
-    them as shed and the next arrival is drawn regardless, preserving
-    the offered rate (open-loop semantics).
+    ``deliver`` receives every injected request.  Arrivals it rejects
+    (admission control, or no route) are simply lost — the receiver
+    counts them as shed and the next arrival is drawn regardless,
+    preserving the offered rate (open-loop semantics).
     """
 
     def __init__(
         self,
         sim: Simulator,
         spec: WorkloadSpec,
-        queues: dict[str, RequestQueue],
+        deliver: Callable[[InferenceRequest], object],
         rng: RngRegistry,
         stop_time: float,
     ) -> None:
         self.sim = sim
         self.spec = spec
-        self.queues = queues
+        self.deliver = deliver
         self.stop_time = stop_time
         self.issued = 0
-        self.issued_per_model: dict[str, int] = {}
-        #: Injected arrival timestamps, for trace-replay verification.
-        self.arrival_times: list[float] = []
         self.process: Optional[Process] = None
 
         if isinstance(spec, TraceWorkloadSpec):
@@ -123,8 +123,5 @@ class WorkloadClient:
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.request_arrival(request)
-        self.queues[model].offer(request)
+        self.deliver(request)
         self.issued += 1
-        self.issued_per_model[model] = \
-            self.issued_per_model.get(model, 0) + 1
-        self.arrival_times.append(request.arrival_time)

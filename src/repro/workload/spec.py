@@ -29,7 +29,7 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Optional, Sequence, Union
 
 from repro.server.slo import _known_fields
 from repro.workload.arrivals import (
@@ -45,6 +45,7 @@ __all__ = [
     "TraceEntry",
     "TraceWorkloadSpec",
     "WorkloadSpec",
+    "check_deployment",
     "load_workload",
     "spec_hash",
     "workload_from_dict",
@@ -327,6 +328,21 @@ def workload_from_dict(payload: dict[str, Any]) -> WorkloadSpec:
         raise ValueError(f"unknown workload-spec kind {kind!r}; "
                          f"expected one of {sorted(_SPEC_KINDS)}")
     return _SPEC_KINDS[kind].from_dict(payload)
+
+
+def check_deployment(spec: WorkloadSpec, model_names: Sequence[str],
+                     batch_size: int) -> None:
+    """Raise ``ValueError`` unless a deployment of ``model_names`` at
+    ``batch_size`` serves every request class of ``spec``."""
+    classes = spec.request_classes()
+    mismatched = sorted({c.batch_size for c in classes} - {batch_size})
+    if mismatched:
+        raise ValueError(f"workload class batch sizes {mismatched} differ "
+                         f"from the deployment's batch_size={batch_size}")
+    missing = sorted({c.model for c in classes} - set(model_names))
+    if missing:
+        raise ValueError(f"workload models {missing} are not in "
+                         f"model_names {sorted(set(model_names))}")
 
 
 def spec_hash(spec: WorkloadSpec) -> str:

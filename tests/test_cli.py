@@ -34,6 +34,18 @@ def test_rate_command_exit_codes(capsys):
     assert saturated == 1
 
 
+#: ``rate_result_hash`` of the rate CLI at its defaults (2 workers,
+#: krisp-i, 2.0 s, seed 0) at 200 rps, batch 4.
+RATE_CLI_PIN = (
+    "72ed9e859964a79bfc7a39b9c80e99b7a9b653533dcaf4d24fd9517d4f1ec960")
+
+
+def test_rate_command_prints_the_pinned_hash(capsys):
+    assert main(["rate", "squeezenet", "--rps", "200", "--batch", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"result hash {RATE_CLI_PIN}" in lines
+
+
 def test_trace_command(tmp_path, capsys):
     import json
 

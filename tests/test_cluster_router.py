@@ -1,4 +1,4 @@
-"""Tests for the cluster router's placement policies and FleetClient."""
+"""Tests for the cluster router's placement policies and fleet arrivals."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.cluster import (
     ClusterConfig,
     ClusterRouter,
     ClusterSetup,
-    FleetClient,
     run_cluster_experiment,
 )
 from repro.server.request import InferenceRequest
@@ -86,11 +85,12 @@ def test_routing_counts_per_node():
     assert sum(router.routed_per_node) == 4
 
 
-def test_fleet_client_rejects_unknown_models():
-    cluster = _started_cluster()
-    router = ClusterRouter(cluster)
-    with pytest.raises(ValueError, match="not in cluster model_names"):
-        FleetClient(cluster, router, _spec(model="resnet50"), stop_time=1.0)
+def test_cluster_run_rejects_unknown_models():
+    config = ClusterConfig(devices=2, model_names=("squeezenet",),
+                           batch_size=4)
+    with pytest.raises(ValueError, match="not in model_names"):
+        run_cluster_experiment(config, _spec(model="resnet50"),
+                               duration=0.1)
 
 
 def test_arrivals_are_invariant_across_fleet_size_and_policy():

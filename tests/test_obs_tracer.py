@@ -164,23 +164,3 @@ def test_trace_json_is_deterministic_across_runs(tmp_path):
     # request/launch id counters having advanced between the two runs.
     assert paths[0].read_bytes() == paths[1].read_bytes()
     json.loads(paths[0].read_text())  # and it parses
-
-
-def test_legacy_trace_export_is_a_wrapper():
-    from repro.analysis.trace_export import trace_events
-    from repro.obs.tracer import events_from_kernel_records
-
-    sim = Simulator()
-    from repro.gpu.cu_mask import CUMask
-    from repro.gpu.device import GpuDevice
-    from repro.gpu.kernel import KernelDescriptor, KernelLaunch
-    from repro.gpu.topology import GpuTopology
-
-    topo = GpuTopology.mi50()
-    device = GpuDevice(sim, topo)
-    desc = KernelDescriptor(name="k", workgroups=60, occupancy=1,
-                            wg_duration=1e-4)
-    device.launch(KernelLaunch(desc, tag="w0"), CUMask.all_cus(topo))
-    sim.run()
-    assert trace_events(device.trace) == \
-        events_from_kernel_records(device.trace)

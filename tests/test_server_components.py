@@ -1,4 +1,4 @@
-"""Unit tests for server components: queue, metrics, frontend, worker."""
+"""Unit tests for server components: queue, metrics, clients, worker."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,17 @@ from repro.gpu.kernel import KernelDescriptor
 from repro.gpu.topology import GpuTopology
 from repro.runtime.hsa import HsaRuntime
 from repro.runtime.stream import Stream
-from repro.server.frontend import ClosedLoopClient, PoissonClient
+from repro.server.frontend import ClosedLoopClient
 from repro.server.metrics import BoxplotStats, LatencyStats, geomean, percentile
 from repro.server.request import InferenceRequest, RequestQueue
 from repro.server.worker import HostCostModel, Worker
 from repro.sim.engine import Simulator
+from repro.sim.rng import RngRegistry
+from repro.workload import (
+    HomogeneousWorkloadSpec,
+    PoissonArrivals,
+    WorkloadClient,
+)
 
 TOPO = GpuTopology.mi50()
 
@@ -201,18 +207,20 @@ def test_worker_latency_accounting():
 
 
 def test_poisson_client_rate():
+    """The open-loop client at a Poisson spec issues about ``rate``
+    arrivals per second into its queue."""
     sim = Simulator()
     queue = RequestQueue(sim)
-    client = PoissonClient(sim, queue, "m", 32, rate=1000.0,
-                           rng=np.random.default_rng(2), stop_time=1.0)
+    spec = HomogeneousWorkloadSpec("m", PoissonArrivals(rate=1000.0),
+                                   batch_size=32)
+    client = WorkloadClient(sim, spec, queue.offer, rng=RngRegistry(2),
+                            stop_time=1.0)
     sim.run()
     assert client.issued == pytest.approx(1000, rel=0.2)
+    assert queue.enqueued == client.issued
 
 
 def test_closed_loop_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
         ClosedLoopClient(sim, RequestQueue(sim), "m", 32, concurrency=0)
-    with pytest.raises(ValueError):
-        PoissonClient(sim, RequestQueue(sim), "m", 32, rate=0.0,
-                      rng=np.random.default_rng(0), stop_time=1.0)

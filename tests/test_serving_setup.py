@@ -24,6 +24,7 @@ from repro.server.rate_experiment import run_rate_experiment
 from repro.server.options import RunOptions
 from repro.server.setup import ServingSetup
 from repro.server.slo import SloGuard
+from repro.workload import HomogeneousWorkloadSpec, PoissonArrivals
 
 FAST = ExperimentConfig(("squeezenet",) * 2, policy="krisp-i",
                         batch_size=4, requests_scale=0.25)
@@ -87,7 +88,9 @@ def test_build_replicates_historical_wiring(monkeypatch, tmp_path):
 def test_open_loop_shares_one_queue(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     setup = ServingSetup.build(FAST, rng_label="rate/100.0")
-    setup.add_open_loop(100.0, stop_time=0.5)
+    setup.add_workload(HomogeneousWorkloadSpec(
+        "squeezenet", PoissonArrivals(rate=25.0), batch_size=4),
+        stop_time=0.5)
     assert len(setup.queues) == 1
     assert len(setup.workers) == len(FAST.model_names)
     assert all(w.queue is setup.queues[0] for w in setup.workers)

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.server.request import RequestQueue
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.workload import (
@@ -225,10 +224,10 @@ def test_trace_replay_through_client_is_exact():
         TraceEntry(time=t, model="squeezenet", batch_size=4)
         for t in times))
     sim = Simulator()
-    queue = RequestQueue(sim, name="shared")
-    client = WorkloadClient(sim, spec, queues={"squeezenet": queue},
-                            rng=RngRegistry(0).fork("t"), stop_time=1.0)
+    arrivals = []
+    client = WorkloadClient(
+        sim, spec, lambda request: arrivals.append(request.arrival_time),
+        rng=RngRegistry(0).fork("t"), stop_time=1.0)
     sim.run(until=1.0)
-    assert client.arrival_times == list(times)  # bit-exact
+    assert arrivals == list(times)  # bit-exact
     assert client.issued == len(times)
-    assert len(queue) == len(times)

@@ -2,26 +2,30 @@
 path of run_rate_experiment, ServingSetup.add_workload routing, the
 load-curve runner, and the ``krisp-repro load`` CLI.
 
-The two load-bearing contracts:
+The load-bearing contracts:
 
-* a homogeneous Poisson spec is *bit-identical* to the legacy
-  ``add_open_loop`` path at the same rate — the workload engine
+* plain-rate and fleet runs reproduce pinned result hashes — a plain
+  ``offered_rps`` run is a homogeneous Poisson spec through the same
+  client as every other workload — and running the workload engine
   perturbs nothing (the fig13a result-sha pin is re-asserted here after
-  workload runs to prove the legacy harness is untouched);
+  workload runs to prove the closed-loop harness is untouched);
 * load curves are bit-identical across repeated runs, serial vs pooled
   execution, and cache hits vs recomputation.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.exp.cache import (
-    ContentStore,
-    rate_result_to_dict,
-    result_hash,
+from repro.cluster import (
+    ClusterConfig,
+    cluster_result_hash,
+    run_cluster_experiment,
 )
+from repro.exp.cache import ContentStore, rate_result_hash, result_hash
 from repro.exp.load import run_load_curve
+from repro.faults.schedule import FaultSchedule, NodeCrash
 from repro.server.experiment import ExperimentConfig, run_experiment
 from repro.server.options import RunOptions
 from repro.server.rate_experiment import run_rate_experiment
@@ -32,6 +36,9 @@ from repro.workload import (
     HomogeneousWorkloadSpec,
     PoissonArrivals,
     RequestClass,
+    TraceEntry,
+    TraceWorkloadSpec,
+    load_workload,
     workload_to_yaml,
 )
 
@@ -53,16 +60,87 @@ def poisson_spec(offered_rps, batch=4, model="squeezenet"):
         model, PoissonArrivals(rate=offered_rps / batch), batch_size=batch)
 
 
-# -- differential: workload path vs legacy open loop -------------------------
+# -- pins: plain-rate and fleet runs ------------------------------------------
 
-def test_poisson_spec_is_bit_identical_to_legacy_open_loop():
-    legacy = run_rate_experiment(CONFIG, offered_rps=100.0, duration=0.5)
-    spec = poisson_spec(100.0)
-    via_spec = run_rate_experiment(CONFIG, offered_rps=100.0,
-                                   duration=0.5,
-                                   options=RunOptions(workload=spec))
-    assert via_spec == legacy  # full float-for-float equality
-    assert rate_result_to_dict(via_spec) == rate_result_to_dict(legacy)
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples" / "workloads"
+
+#: Seed-0 ``rate_result_hash`` of plain-rate runs:
+#: (model_names, policy, batch, offered_rps, duration, guard) -> sha256.
+RATE_PINS = {
+    "squeezenet2-100rps": (
+        ("squeezenet",) * 2, "krisp-i", 4, 100.0, 0.5, None,
+        "d74d1d36620a298c0bcf8ed15a63381cddc8da0c1e7b4f802dc821f49cb136f6"),
+    "rate-cli-defaults": (
+        ("squeezenet",) * 2, "krisp-i", 4, 200.0, 2.0, None,
+        "72ed9e859964a79bfc7a39b9c80e99b7a9b653533dcaf4d24fd9517d4f1ec960"),
+    "squeezenet4-mps-400rps": (
+        ("squeezenet",) * 4, "mps-default", 32, 400.0, 0.5, None,
+        "11c1d47ee2ad699f0a96b0f61de34797728910f87ce715707a3c66a596fcc15e"),
+    "squeezenet2-guarded-300rps": (
+        ("squeezenet",) * 2, "krisp-i", 4, 300.0, 0.5,
+        SloGuard(admission_depth=4, deadline=0.02),
+        "0c5c6b0b038de2e3b1c977e8fb19d4262f6127c14ad2ebad8ee17855b3e930a0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATE_PINS))
+def test_plain_rate_runs_are_pinned(name):
+    models, policy, batch, rps, duration, guard, pin = RATE_PINS[name]
+    config = ExperimentConfig(models, policy=policy, batch_size=batch)
+    result = run_rate_experiment(config, offered_rps=rps, duration=duration,
+                                 options=RunOptions(guard=guard))
+    assert rate_result_hash(result) == pin
+
+
+def test_poisson_example_is_the_plain_rate_run():
+    """``examples/workloads/poisson-squeezenet.yaml`` is bit-identical to
+    ``krisp-repro rate squeezenet --rps 200 --batch 4``, as it says."""
+    spec = load_workload(EXAMPLES / "poisson-squeezenet.yaml")
+    result = run_rate_experiment(CONFIG, duration=2.0,
+                                 options=RunOptions(workload=spec))
+    assert rate_result_hash(result) == RATE_PINS["rate-cli-defaults"][-1]
+
+
+def _trace_spec():
+    return TraceWorkloadSpec(entries=tuple(
+        TraceEntry(time=i * 0.004, model="squeezenet", batch_size=4)
+        for i in range(150)))
+
+
+#: Seed-0 ``cluster_result_hash`` of 2-device, 1 s fleet runs:
+#: (spec, router, faults, guard) -> sha256.
+FLEET_PINS = {
+    "bursty-least-loaded": (
+        lambda: load_workload(EXAMPLES / "bursty-mix.yaml"),
+        "least-loaded", None, None,
+        "1276dc7f0634eceec837f74b65dca2b870ac1fae2ae236c2e1d987173569c4c4"),
+    "bursty-free-cu-crash-guarded": (
+        lambda: load_workload(EXAMPLES / "bursty-mix.yaml"),
+        "free-cu", FaultSchedule(events=(NodeCrash(time=0.5, node=1),)),
+        SloGuard(admission_depth=8, deadline=0.05),
+        "c8698db2095ef0db9a7070c28ff991103be739f0c1e2154da6991eb5b22bcf4d"),
+    "llm-chat-affinity": (
+        lambda: load_workload(EXAMPLES / "llm-chat.yaml"),
+        "affinity", None, None,
+        "54401f1f94abf64edd7f52f36fb2efcf8ef8e2308d060970a84a6163836a566d"),
+    "trace-least-loaded": (
+        _trace_spec, "least-loaded", None, None,
+        "5552f4a37d05001d27e055a80fc1363228eecb177434151a09aed9323c9d17f6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLEET_PINS))
+def test_fleet_runs_are_pinned(name):
+    make_spec, router, faults, guard, pin = FLEET_PINS[name]
+    spec = make_spec()
+    config = ClusterConfig(
+        devices=2, model_names=spec.models(), policy="krisp-i",
+        batch_size=spec.request_batch_size(), seed=0, router=router,
+        pool_size=2, pool_min=1)
+    result = run_cluster_experiment(
+        config, spec, duration=1.0,
+        options=RunOptions(faults=faults, guard=guard))
+    assert cluster_result_hash(result) == pin
 
 
 def test_fig13a_pin_survives_workload_runs():
@@ -96,10 +174,32 @@ def test_workload_batch_size_must_match_config():
 
 
 def test_workload_models_must_be_configured():
-    setup = ServingSetup.build(CONFIG, rng_label="rate/1.0")
     with pytest.raises(ValueError, match="mobilenet"):
-        setup.add_workload(poisson_spec(80.0, model="mobilenet"),
-                           stop_time=0.1)
+        run_rate_experiment(
+            CONFIG, duration=0.1,
+            options=RunOptions(workload=poisson_spec(80.0,
+                                                     model="mobilenet")))
+
+
+def test_explicit_rate_must_match_the_workload():
+    """An explicit ``offered_rps`` names the run's rate, so it must be
+    the rate the spec actually offers — not silently ignored."""
+    with pytest.raises(ValueError, match="at_rate"):
+        run_rate_experiment(
+            CONFIG, offered_rps=400.0, duration=0.3,
+            options=RunOptions(workload=poisson_spec(100.0)))
+    # Rescaled with at_rate, the same request runs and reports its rate.
+    spec = poisson_spec(100.0).at_rate(400.0)
+    result = run_rate_experiment(CONFIG, offered_rps=400.0, duration=0.3,
+                                 options=RunOptions(workload=spec))
+    assert result.offered_rps == 400.0
+
+
+def test_plain_rate_rejects_a_mixed_deployment():
+    config = ExperimentConfig(("squeezenet", "mobilenet"),
+                              policy="krisp-i", batch_size=4)
+    with pytest.raises(ValueError, match="workload="):
+        run_rate_experiment(config, offered_rps=100.0, duration=0.1)
 
 
 # -- heterogeneous routing ---------------------------------------------------
@@ -114,15 +214,15 @@ def test_heterogeneous_mix_routes_to_per_model_queues():
     config = ExperimentConfig(("squeezenet", "mobilenet"),
                               policy="krisp-i", batch_size=4)
     setup = ServingSetup.build(config, rng_label="rate/400.0")
-    client = setup.add_workload(MIX, stop_time=0.5)
-    assert sorted(q.name for q in setup.queues) == \
-        ["wl-mobilenet", "wl-squeezenet"]
+    setup.add_workload(MIX, stop_time=0.5)
+    queues = {q.name: q for q in setup.queues}
+    assert sorted(queues) == ["wl-mobilenet", "wl-squeezenet"]
     setup.sim.run(until=0.5)
     # Both classes were drawn, roughly at their 3:1 weights.
-    assert set(client.issued_per_model) == {"squeezenet", "mobilenet"}
-    ratio = (client.issued_per_model["squeezenet"]
-             / client.issued_per_model["mobilenet"])
-    assert 1.5 < ratio < 6.0
+    squeezenet = queues["wl-squeezenet"].enqueued
+    mobilenet = queues["wl-mobilenet"].enqueued
+    assert squeezenet > 0 and mobilenet > 0
+    assert 1.5 < squeezenet / mobilenet < 6.0
     # Workers only ever served their own model.
     for worker in setup.workers:
         models = {r.model_name for r in worker.stats.completed}
