@@ -13,6 +13,7 @@ The roster pairs each mutation with the checker expected to trip:
 mutation                   caught by
 =========================  ============================================
 ``drop-dirty-entry``       incremental-mode device audit (stale rate)
+``ignore-co-residents``    device audit's slow-path rate comparison
 ``skip-se-load-update``    counter self-audit inside the mask program
 ``skew-mask-shape``        Algorithm-1 active-SE law (L3)
 ``tamper-cached-result``   cached-vs-fresh differential hash
@@ -88,18 +89,26 @@ def _skip_se_load_update() -> Iterator[None]:
     original = CUKernelCounters.release
 
     def mutated(self, mask):
-        counts = self._counts
-        for cu in mask.cu_tuple:
-            remaining = counts[cu] - 1
-            if remaining < 0:
-                raise ValueError(f"CU {cu} released below zero")
-            counts[cu] = remaining
-            if remaining == 0:
-                self._busy -= 1
-        self._total -= mask.count()
-        # Bug under test: self._se_loads is never decremented.
+        # Bug under test: the per-SE loads are never decremented.  The
+        # aggregate is updated in place, so restore a copy.
+        se_loads = list(self._se_loads)
+        original(self, mask)
+        self._se_loads[:] = se_loads
 
     with _patch(CUKernelCounters, "release", mutated):
+        yield
+
+
+@contextmanager
+def _ignore_co_residents() -> Iterator[None]:
+    """The rate model reads every CU as singly occupied, so kernels
+    sharing CUs run at their isolated floor.
+
+    Both recompute paths agree and the fast path still matches its own
+    recompute, so only the device audit's slow-path comparison catches
+    it.
+    """
+    with _patch(CUKernelCounters, "shared", lambda self, mask: False):
         yield
 
 
@@ -220,6 +229,12 @@ def _device_check() -> list[str]:
                               with_faults=False)
 
 
+def _device_audit_check() -> list[str]:
+    # The ``device-audit`` global check, both recompute modes.
+    from repro.check.runner import _device_audit
+    return _device_audit()[0]
+
+
 def _mask_law_check() -> list[str]:
     from repro.check.invariants import run_mask_program
     return run_mask_program(seed=7, iterations=120)
@@ -246,6 +261,12 @@ MUTATIONS: tuple[Mutation, ...] = (
         "incremental recompute skips the newest dirty record",
         _drop_dirty_entry,
         _device_check,
+    ),
+    Mutation(
+        "ignore-co-residents",
+        "the rate model ignores kernels sharing a CU",
+        _ignore_co_residents,
+        _device_audit_check,
     ),
     Mutation(
         "skip-se-load-update",

@@ -211,9 +211,9 @@ class ResourceMaskGenerator:
             num_cus = 1
         elif num_cus > topo.total_cus:
             num_cus = topo.total_cus
-        # Per-CU counts are small ints (bounded by max_kernels_per_cu),
-        # so bytes() is a compact, hashable snapshot of the full state.
-        memo_key = (num_cus, bytes(counters.counts_view()))
+        # The counters' one-byte-per-CU snapshot is a compact, hashable
+        # key for the full state.
+        memo_key = (num_cus, counters.snapshot())
         cached = self._generate_cache.get(memo_key)
         if cached is not None:
             self.masks_generated += 1
@@ -234,10 +234,11 @@ class ResourceMaskGenerator:
                 # Literal Algorithm 1 + floor: top up with the least
                 # loaded CUs, accepting a possibly ragged shape.
                 chosen = set(selected)
+                counts = counters.snapshot()
                 extras = sorted(
                     (cu for cu in range(topo.total_cus)
                      if cu not in chosen),
-                    key=lambda cu: (counters.count(cu), cu),
+                    key=lambda cu: (counts[cu], cu),
                 )
                 selected.extend(extras[:floor - len(selected)])
 
@@ -264,7 +265,7 @@ class ResourceMaskGenerator:
         se_order = sorted(range(topo.num_se),
                           key=counters.se_loads_view().__getitem__)
 
-        counts = counters.counts_view()
+        counts = counters.snapshot()
         selected: list[int] = []
         overlapped = 0
         allocated = 0

@@ -198,7 +198,7 @@ class PooledMaskGenerator(ResourceMaskGenerator):
             descriptor = None
         memo_key: Optional[tuple[int, bytes]] = None
         if descriptor is None:
-            memo_key = (requested, bytes(counters.counts_view()))
+            memo_key = (requested, counters.snapshot())
             cached = self._select_cache.get(memo_key)
             if cached is not None:
                 self.pool_hits += 1
@@ -231,7 +231,7 @@ class PooledMaskGenerator(ResourceMaskGenerator):
         ``descriptor`` (contention path only) adds the interference
         penalty per occupied CU.
         """
-        counts = counters.counts_view()
+        counts = counters.snapshot()
         entries = self._pools[cls]
         limit = self.overlap_limit
         overlap_binds = cls == effective

@@ -73,13 +73,43 @@ class CUMask:
         """Enabled global CU indices, ascending, computed once."""
         bits = self.bits
         out = []
-        index = 0
         while bits:
-            if bits & 1:
-                out.append(index)
-            bits >>= 1
-            index += 1
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
         return tuple(out)
+
+    @cached_property
+    def cus_by_se(self) -> tuple[tuple[int, ...], ...]:
+        """Enabled global CU indices of each shader engine (one tuple per
+        SE, empty where the mask holds none), computed once."""
+        per_se = self.topology.cus_per_se
+        groups: list[list[int]] = [[] for _ in range(self.topology.num_se)]
+        for cu in self.cu_tuple:
+            groups[cu // per_se].append(cu)
+        return tuple(map(tuple, groups))
+
+    @cached_property
+    def se_counts(self) -> tuple[tuple[int, int], ...]:
+        """``(se, enabled CUs)`` for every SE the mask touches, ascending."""
+        return tuple((se, len(cus)) for se, cus in enumerate(self.cus_by_se)
+                     if cus)
+
+    @cached_property
+    def lanes_ones(self) -> int:
+        """The mask spread to the counters' 8-bit lanes: 1 in lane *i*
+        for every enabled CU *i* (see
+        :class:`~repro.gpu.counters.CUKernelCounters`)."""
+        lanes = 0
+        for cu in self.cu_tuple:
+            lanes |= 1 << (cu << 3)
+        return lanes
+
+    @cached_property
+    def lanes_high(self) -> int:
+        """Bit 7 of every enabled CU's lane: the flag bit the counters'
+        lane-wise comparisons test."""
+        return self.lanes_ones << 7
 
     def count(self) -> int:
         """Number of enabled CUs."""
@@ -93,16 +123,9 @@ class CUMask:
         """Whether global CU ``cu`` is enabled."""
         return bool(self.bits >> cu & 1)
 
-    @cached_property
-    def _per_se(self) -> tuple[int, ...]:
-        counts = [0] * self.topology.num_se
-        for cu in self.cu_tuple:
-            counts[self.topology.se_of(cu)] += 1
-        return tuple(counts)
-
     def per_se_counts(self) -> list[int]:
         """Enabled-CU count inside each shader engine."""
-        return list(self._per_se)
+        return list(map(len, self.cus_by_se))
 
     def active_ses(self) -> list[int]:
         """Shader engines that contain at least one enabled CU."""

@@ -56,7 +56,9 @@ from repro.gpu.cu_mask import CUMask
 from repro.gpu.exec_model import (
     ExecutionModelConfig,
     bandwidth_demand,
+    contended_latency,
     isolated_latency,
+    memory_throttle,
     split_workgroups,
 )
 from repro.gpu.kernel import KernelLaunch
@@ -142,7 +144,6 @@ class GpuDevice:
         # accounting — never read by the rate model.
         self.work_cu_seconds = 0.0
         self._running: dict[int, KernelRecord] = {}
-        self._residents = self.counters.counts_view()
         self._total_demand = 0.0
         # ``full_recompute=None`` defers to the REPRO_FULL_RECOMPUTE env
         # flag; true selects the O(all-residents) sweep, eager progress
@@ -361,14 +362,13 @@ class GpuDevice:
             demand = bandwidth_demand(desc, record.mask)
             per_se = record.mask.per_se_counts()
             shares = split_workgroups(desc.workgroups, per_se)
-            topo = self.topology
+            cus_by_se = record.mask.cus_by_se
             se_shares = []
-            occupied = [0] * topo.num_se
+            occupied = [0] * self.topology.num_se
             for se, (share, cus) in enumerate(zip(shares, per_se)):
                 if cus == 0:
                     continue
-                se_cus = tuple(cu for cu in record.mask.cu_tuple
-                               if topo.se_of(cu) == se)
+                se_cus = cus_by_se[se]
                 # Precompute share * wg_duration / occupancy: dividing by
                 # the SE's effective capacity yields its shared execution
                 # time.
@@ -384,27 +384,31 @@ class GpuDevice:
          record.se_shares, record.occupied_per_se) = cached
 
     def _effective_latency(self, record: KernelRecord) -> float:
-        """Latency under current residency and bandwidth (fast path)."""
+        """Latency under current residency and bandwidth (fast path).
+
+        A kernel alone on its CUs runs at its wave-quantised floor, so
+        the per-CU capacity loop only runs when some CU of its mask holds
+        two or more kernels.
+        """
         config = self.exec_config
-        residents = self._residents
-        alpha = config.intra_cu_alpha
-        shared = 0.0
-        contended = False
-        for _se, weight, se_cus in record.se_shares:
-            capacity = 0.0
-            for cu in se_cus:
-                r = residents[cu]
-                if r > 1:
-                    contended = True
-                    capacity += (1.0 / r) ** alpha
-                else:
-                    capacity += 1.0
-            se_time = weight / capacity
-            if se_time > shared:
-                shared = se_time
         desc = record.launch.descriptor
         latency = record.floor_latency
-        if contended:
+        counters = self.counters
+        if counters.shared(record.mask):
+            residents = counters.snapshot()
+            alpha = config.intra_cu_alpha
+            shared = 0.0
+            for _se, weight, se_cus in record.se_shares:
+                capacity = 0.0
+                for cu in se_cus:
+                    r = residents[cu]
+                    if r > 1:
+                        capacity += (1.0 / r) ** alpha
+                    else:
+                        capacity += 1.0
+                se_time = weight / capacity
+                if se_time > shared:
+                    shared = se_time
             candidate = desc.flat_time + shared + config.launch_overhead
             if candidate > latency:
                 latency = candidate
@@ -590,11 +594,12 @@ class GpuDevice:
         Cross-checks every incrementally maintained structure (the
         CU→resident reverse index, the demand set, the occupied-CU meter
         aggregate, the counters, the cached rates) against a fresh
-        rescan of the resident set, and balances the work-conservation
-        ledger.  Returns human-readable violation strings (empty =
-        consistent).  Safe to call at any time between events; does not
-        change any simulation state beyond advancing the counters' time
-        integrals to ``now``.
+        rescan of the resident set, every cached rate against the
+        slow-path formulas of :mod:`repro.gpu.exec_model`, and balances
+        the work-conservation ledger.  Returns human-readable violation
+        strings (empty = consistent).  Safe to call at any time between
+        events; does not change any simulation state beyond advancing
+        the counters' time integrals to ``now``.
         """
         violations: list[str] = []
         running = self._running
@@ -674,6 +679,25 @@ class GpuDevice:
             self.check_rate_invariant()
         except AssertionError as exc:
             violations.append(f"device: rate invariant: {exc}")
+
+        # The fast path against the slow-path formulas of exec_model,
+        # from the live counters and fresh demands: CU sharing, then the
+        # bandwidth throttle, then the fault scales.
+        config = self.exec_config
+        counts = dict(enumerate(self.counters.snapshot()))
+        demands = {seq: bandwidth_demand(rec.launch.descriptor, rec.mask)
+                   for seq, rec in running.items()}
+        pool = sum(demands.values()) + self._fault_demand
+        for seq, rec in running.items():
+            desc = rec.launch.descriptor
+            slow = (contended_latency(desc, rec.mask, counts, config)
+                    / memory_throttle(desc, demands[seq], pool, config)
+                    * (self._fault_scale
+                       * self._fault_tag_scale.get(rec.launch.tag, 1.0)))
+            if not math.isclose(rec.eff_latency, slow, rel_tol=1e-9):
+                violations.append(
+                    f"device: kernel seq {seq} latency "
+                    f"{rec.eff_latency!r} != slow path {slow!r}")
 
         # Work conservation: the counters' CU-time integral must balance
         # the per-kernel ledger (retired work + live partial work).  The

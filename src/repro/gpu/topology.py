@@ -28,9 +28,11 @@ class GpuTopology:
     wavefront_size:
         Threads per wavefront (64 on GCN/CDNA).
     max_kernels_per_cu:
-        Maximum concurrently resident kernels per CU.  The paper sizes the
-        per-CU kernel counters at 5 bits because a GPU handles at most 32
-        concurrent streams.
+        Maximum concurrently resident kernels per CU, in ``[1, 127]``.
+        The paper sizes the per-CU kernel counters at 5 bits because a
+        GPU handles at most 32 concurrent streams (the default); 127 is
+        the bound of the packed counter lanes
+        (:class:`~repro.gpu.counters.CUKernelCounters`).
     mem_bandwidth_frac:
         Peak global memory bandwidth expressed as a dimensionless budget of
         1.0; kernels demand fractions of it (see
@@ -49,6 +51,10 @@ class GpuTopology:
     def __post_init__(self) -> None:
         if self.num_se < 1 or self.cus_per_se < 1:
             raise ValueError("topology must have at least one SE and one CU")
+        if not 1 <= self.max_kernels_per_cu <= 127:
+            raise ValueError(
+                f"max_kernels_per_cu {self.max_kernels_per_cu} outside "
+                "[1, 127]")
 
     @property
     def total_cus(self) -> int:

@@ -65,10 +65,6 @@ def test_counters_keep_high_water_marks():
     assert counters.busy_cus() == 0
     # Peaks survive the drain back to idle.
     assert counters.peak_busy_cus == 10
-    peaks = counters.peak_counts()
-    assert peaks[:6] == [2] * 6
-    assert peaks[6:10] == [1] * 4
-    assert all(p == 0 for p in peaks[10:])
 
 
 def test_experiment_result_surfaces_peak_occupancy():
@@ -208,6 +204,32 @@ def test_counters_underflow_guard():
     counters = CUKernelCounters(TOPO)
     with pytest.raises(ValueError):
         counters.release(CUMask.first_n(TOPO, 1))
+
+
+def _counter_state(counters):
+    return (counters.snapshot(), counters.busy_cus(),
+            counters.total_assigned(), list(counters.se_loads_view()))
+
+
+def test_refused_assign_and_release_leave_counters_unchanged():
+    topo = GpuTopology(num_se=2, cus_per_se=3, max_kernels_per_cu=2)
+    counters = CUKernelCounters(topo)
+    third = CUMask.from_cus(topo, [3])
+    counters.assign(third)
+    counters.assign(third)      # CU 3 full
+    before = _counter_state(counters)
+    with pytest.raises(OverflowError, match="CU 3 already holds 2"):
+        counters.assign(CUMask.first_n(topo, 4))
+    assert _counter_state(counters) == before
+    assert counters.audit() == []
+
+    counters = CUKernelCounters(topo)
+    counters.assign(CUMask.first_n(topo, 2))
+    before = _counter_state(counters)
+    with pytest.raises(ValueError, match="CU 2 counter underflow"):
+        counters.release(CUMask.first_n(topo, 3))
+    assert _counter_state(counters) == before
+    assert counters.audit() == []
 
 
 def test_counters_se_load():

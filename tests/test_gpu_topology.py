@@ -50,3 +50,14 @@ def test_invalid_topology_rejected():
         GpuTopology(num_se=0, cus_per_se=15)
     with pytest.raises(ValueError):
         GpuTopology(num_se=4, cus_per_se=0)
+
+
+@pytest.mark.parametrize("limit", [-3, 0, 128])
+def test_kernel_limit_outside_counter_lanes_rejected(limit):
+    with pytest.raises(ValueError, match="max_kernels_per_cu"):
+        GpuTopology(max_kernels_per_cu=limit)
+
+
+@pytest.mark.parametrize("limit", [1, 32, 127])
+def test_kernel_limit_within_counter_lanes_accepted(limit):
+    assert GpuTopology(max_kernels_per_cu=limit).max_kernels_per_cu == limit
