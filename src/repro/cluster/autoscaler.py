@@ -1,10 +1,9 @@
 """Load-driven worker-pool autoscaling on the simulator clock.
 
 The :class:`PoolAutoscaler` is a recurring sim event that reads each
-model's backlog from the fleet's sampled metrics (the ``node{i}_queue
-_depth`` gauges the per-node :class:`~repro.obs.sampler.SimSampler`
-maintains), normalises by the model's active slot count, and activates
-or deactivates pool slots against the watermarks of its
+model's backlog from its own snapshot of the slot queues (never from a
+metrics registry), normalises by the model's active slot count, and
+activates or deactivates pool slots against the watermarks of its
 :class:`~repro.cluster.config.AutoscalerConfig`.
 
 Scale-up spreads: the new slot lands on the live node with the fewest
@@ -15,10 +14,11 @@ up/down cycles touch the same slots and the fleet's t=0 construction
 order never changes).  Deactivation is graceful by construction: the
 router stops sending, the worker drains its backlog.
 
-The tick runs at priority :data:`TICK_PRIORITY` (after the samplers'
-100), so a tick co-scheduled with a sample always reads the fresh
-gauges — the control loop is downstream of observation, exactly like a
-metrics-scraping autoscaler in a real fleet.
+A tick reads the depths one snapshot event recorded at the last instant
+of the samplers' 250 µs grid (their float recurrence ``t +
+DEFAULT_INTERVAL``) at or before it.  The snapshot runs at the samplers'
+priority, after every event that can change a depth, so it sees exactly
+what a per-node :class:`~repro.obs.sampler.SimSampler` would.
 
 Churn is bounded ECLIP-style: hysteresis on scale-down, a per-model
 cooldown after every action, and a fleet-wide sliding-window cap on
@@ -35,10 +35,11 @@ from typing import Any, Optional
 
 from repro.cluster.config import AutoscalerConfig
 from repro.cluster.setup import ClusterSetup, PoolSlot
+from repro.obs.sampler import DEFAULT_INTERVAL, SAMPLE_PRIORITY
 
 __all__ = ["PoolAutoscaler", "ScaleEvent", "TICK_PRIORITY"]
 
-#: After the samplers' priority 100: observe, then act.
+#: After the snapshot's ``SAMPLE_PRIORITY`` (100): observe, then act.
 TICK_PRIORITY = 110
 
 
@@ -90,50 +91,55 @@ class PoolAutoscaler:
         self._last_action: dict[str, float] = {}
         #: Fleet-wide action times inside the sliding window.
         self._window: deque[float] = deque()
-
-    @property
-    def scale_ups(self) -> int:
-        return sum(1 for e in self.events if e.action == "up")
-
-    @property
-    def scale_downs(self) -> int:
-        return sum(1 for e in self.events if e.action == "down")
+        #: The latest snapshot's grid instant, and each slot queue's depth.
+        self._grid = 0.0
+        self.backlog: dict[str, int] = {}
 
     def start(self, *, stop_time: float) -> None:
         """Begin ticking now; the last tick is at ``stop_time`` latest."""
         self.stop_time = stop_time
-        self.cluster.sim.schedule(self.cluster.sim.now, self._tick,
-                                  priority=TICK_PRIORITY)
+        sim = self.cluster.sim
+        self._grid = sim.now
+        sim.schedule(sim.now, self._snapshot, priority=SAMPLE_PRIORITY)
+        sim.schedule(sim.now, self._tick, priority=TICK_PRIORITY)
 
     def _tick(self) -> None:
         for model in self.cluster.config.model_names:
             self._evaluate(model)
-        next_time = self.cluster.sim.now + self.config.interval
+        sim = self.cluster.sim
+        next_time = sim.now + self.config.interval
         if self.stop_time is None or next_time <= self.stop_time:
-            self.cluster.sim.schedule(next_time, self._tick,
-                                      priority=TICK_PRIORITY)
+            # Ticks < 250 µs apart may share the last grid instant.
+            grid = self._grid
+            while grid + DEFAULT_INTERVAL <= next_time:
+                grid += DEFAULT_INTERVAL
+            if grid != self._grid:
+                self._grid = grid
+                sim.schedule(grid, self._snapshot, priority=SAMPLE_PRIORITY)
+            sim.schedule(next_time, self._tick, priority=TICK_PRIORITY)
 
     # -- load signal ---------------------------------------------------------
+    def _snapshot(self) -> None:
+        self.backlog = {slot.queue.name: len(slot.queue)
+                        for node in self.cluster.nodes
+                        for slot in node.slots}
+
     def _model_load(self, model: str) -> tuple[float, int]:
         """(load per active slot, active slot count) for ``model``.
 
-        Backlog comes from the sampled queue-depth gauges — the same
-        series an operator's dashboard would alert on — summed over
-        *every* slot of the model on live nodes (a drained slot's
+        Backlog is the snapshot's queue depth summed over *every* slot
+        of the model on nodes live at the tick (a drained slot's
         leftover backlog still argues against scaling down).  In-flight
         requests count one each.
         """
         cluster = self.cluster
-        registry = cluster.metrics
-        queued = 0.0
+        queued = 0
         in_flight = 0
         for node in cluster.nodes:
             if node.crashed:
                 continue
             for slot in node.pools[model]:
-                queued += registry.gauge(
-                    f"node{slot.node_index}_queue_depth",
-                    queue=slot.queue.name).value
+                queued += self.backlog[slot.queue.name]
                 if slot.worker is not None \
                         and slot.worker.in_flight is not None:
                     in_flight += 1

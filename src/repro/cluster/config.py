@@ -104,9 +104,9 @@ class AutoscalerConfig:
     """The load-driven pool controller, ECLIP-style overhead-bounded.
 
     Every ``interval`` sim-seconds the controller reads each model's
-    queued backlog from the fleet's :class:`~repro.obs.sampler
-    .SimSampler` gauges, normalises by the model's active worker count,
-    and compares against the watermarks.  Churn is capped three ways:
+    queued backlog from its own snapshot of the slot queues, normalises
+    by the model's active worker count, and compares against the
+    watermarks.  Churn is capped three ways:
 
     * **hysteresis** — scale-down needs ``hysteresis_ticks`` consecutive
       below-low-watermark readings (one hot sample never flaps a pool);

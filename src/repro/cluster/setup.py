@@ -93,7 +93,7 @@ class ClusterSetup:
     rng: RngRegistry
     nodes: list[ClusterNode]
     reload: ReloadCostModel
-    metrics: "MetricsRegistry"
+    metrics: Optional["MetricsRegistry"] = None
     guard: Optional[SloGuard] = None
     samplers: list = field(default_factory=list)
 
@@ -122,9 +122,6 @@ class ClusterSetup:
         if recorder is not None:
             from repro.obs.flight import compose_tracers
             tracer = compose_tracers(tracer, recorder)
-        if metrics is None:
-            from repro.obs.metrics import MetricsRegistry
-            metrics = MetricsRegistry()
         sim = Simulator(tracer=tracer)
         rng = RngRegistry(config.seed).fork(rng_label)
         node_cfg = config.node_config()
@@ -191,28 +188,25 @@ class ClusterSetup:
             segments_for=setup._segments_fn(plan))
 
     def start(self, *, stop_time: float) -> None:
-        """Activate the initial pools and start the per-node samplers.
+        """Activate the initial pools; sample only if given a registry.
 
-        ``pool_min`` slots per (node, model) come up in slot order; each
-        node then gets a :class:`~repro.obs.sampler.SimSampler` under
-        the ``node{i}`` metric prefix — the shared registry carries one
-        occupancy/queue-depth series set per device, which is exactly
-        the load signal the autoscaler reads.
+        ``pool_min`` slots per (node, model) come up in slot order; with
+        ``metrics`` each node then gets a :class:`~repro.obs.sampler
+        .SimSampler` under the ``node{i}`` metric prefix (series for
+        observers only: nothing on the control path reads them).
         """
         for node in self.nodes:
             for model in self.config.model_names:
                 for slot in node.pools[model][:self.config.pool_min]:
                     self.activate_slot(slot)
+        if self.metrics is None:
+            return
         for node in self.nodes:
             self.samplers.append(node.setup.start_sampler(
                 self.metrics, stop_time=stop_time,
                 prefix=f"node{node.index}"))
 
     # -- fleet-wide views ----------------------------------------------------
-    def pool(self, model: str) -> list[PoolSlot]:
-        """Every slot serving ``model``, node-major/slot-minor."""
-        return [slot for node in self.nodes for slot in node.pools[model]]
-
     def active_slots(self, model: str) -> list[PoolSlot]:
         """Active slots for ``model`` on live nodes (routable targets)."""
         return [slot for node in self.nodes if not node.crashed

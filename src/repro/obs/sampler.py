@@ -27,15 +27,15 @@ from typing import Any, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry, linear_buckets
 
-__all__ = ["SimSampler"]
+__all__ = ["DEFAULT_INTERVAL", "SAMPLE_PRIORITY", "SimSampler"]
 
 #: Default sampling period in simulated seconds (250 µs: ~4k samples per
 #: second of simulated serving, fine enough to catch per-kernel phases).
 DEFAULT_INTERVAL = 250e-6
 
-#: Sampling runs at low priority so a tick scheduled at the same instant
-#: as a launch/retire observes the post-transition state.
-_SAMPLE_PRIORITY = 100
+#: Sampling (and the fleet autoscaler's backlog snapshot) runs at low
+#: priority, so it observes an instant's post-launch/retire state.
+SAMPLE_PRIORITY = 100
 
 
 class SimSampler:
@@ -103,14 +103,14 @@ class SimSampler:
         ticking forever on sampler events alone.
         """
         self.stop_time = stop_time
-        self.sim.schedule(self.sim.now, self._tick, priority=_SAMPLE_PRIORITY)
+        self.sim.schedule(self.sim.now, self._tick, priority=SAMPLE_PRIORITY)
 
     def _tick(self) -> None:
         self.sample()
         next_time = self.sim.now + self.interval
         if self.stop_time is None or next_time <= self.stop_time:
             self.sim.schedule(next_time, self._tick,
-                              priority=_SAMPLE_PRIORITY)
+                              priority=SAMPLE_PRIORITY)
 
     def sample(self) -> None:
         """Take one snapshot at the current simulated time."""

@@ -1,8 +1,19 @@
 """Tests for the load-driven pool autoscaler's control law."""
 
-from repro.cluster import AutoscalerConfig, ClusterConfig, run_cluster_experiment
+import pytest
+
+from repro.cluster import (
+    AutoscalerConfig,
+    ClusterConfig,
+    PoolAutoscaler,
+    cluster_result_hash,
+    run_cluster_experiment,
+)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.sampler import DEFAULT_INTERVAL
 from repro.workload.arrivals import OnOffArrivals, PoissonArrivals
 from repro.workload.spec import HomogeneousWorkloadSpec
+from tests.test_workload_load import FLEET_PINS, run_fleet_pin
 
 
 def _config(**overrides):
@@ -74,3 +85,63 @@ def test_scale_events_roundtrip_and_order():
     for event in events:
         assert ScaleEvent.from_dict(event.to_dict()) == event
     assert list(events) == sorted(events, key=lambda e: e.time)
+
+
+#: Seed-0 hashes of the ``bursty-least-loaded`` fleet pin at 3x its rate
+#: under autoscaler intervals off the samplers' 250 us grid: 100 us
+#: ticks reuse a snapshot, 20.3 ms ticks fall between grid instants.
+INTERVAL_PINS = {
+    1e-4: "406abdcee913c5ce7780308b9842235e4201beca36c92e6a406e98e5ca2b4aef",
+    0.0203:
+        "b8c988440cc6c45f3f2d3aa5d56c48d8b971372f315be822f2aa1554521ac72d",
+}
+
+
+def _hot_run(interval, metrics=None):
+    return run_fleet_pin("bursty-least-loaded", rate_scale=3.0,
+                         metrics=metrics,
+                         autoscaler=AutoscalerConfig(interval=interval))
+
+
+@pytest.mark.parametrize("interval", sorted(INTERVAL_PINS))
+def test_off_grid_intervals_are_pinned(interval):
+    result = _hot_run(interval)
+    assert result.scale_events
+    assert cluster_result_hash(result) == INTERVAL_PINS[interval]
+
+
+@pytest.mark.parametrize("name", sorted(FLEET_PINS))
+def test_samplers_change_no_fleet_run(name):
+    """A metrics registry adds observers, never a different decision."""
+    plain = run_fleet_pin(name)
+    observed = run_fleet_pin(name, metrics=MetricsRegistry())
+    assert observed.scale_events == plain.scale_events
+    assert cluster_result_hash(observed) == cluster_result_hash(plain) \
+        == FLEET_PINS[name][-1]
+
+
+@pytest.mark.parametrize("interval",
+                         sorted(INTERVAL_PINS) + [DEFAULT_INTERVAL, 20e-3])
+def test_snapshot_is_what_the_samplers_saw(monkeypatch, interval):
+    """At every tick the autoscaler's backlog equals the per-node
+    ``node{i}_queue_depth`` gauges a sampled run maintains (at the
+    sampling interval every tick lands on a grid instant)."""
+    registry = MetricsRegistry()
+    ticks = []
+    tick = PoolAutoscaler._tick
+
+    def checked_tick(scaler):
+        gauges = {slot.queue.name: registry.gauge(
+            f"node{slot.node_index}_queue_depth",
+            queue=slot.queue.name).value
+            for node in scaler.cluster.nodes for slot in node.slots}
+        assert scaler.backlog == gauges
+        ticks.append(sum(gauges.values()))
+        tick(scaler)
+
+    monkeypatch.setattr(PoolAutoscaler, "_tick", checked_tick)
+    result = _hot_run(interval, metrics=registry)
+    assert len(ticks) >= round(1.0 / interval)  # every tick was checked
+    assert max(ticks) > 0  # queues formed, so the check saw a backlog
+    if interval in INTERVAL_PINS:
+        assert cluster_result_hash(result) == INTERVAL_PINS[interval]

@@ -9,6 +9,7 @@ from repro.cluster import (
     run_cluster_experiment,
 )
 from repro.cluster.experiment import ClusterResult
+from repro.obs.metrics import MetricsRegistry
 from repro.workload.arrivals import PoissonArrivals
 from repro.workload.spec import HomogeneousWorkloadSpec
 
@@ -58,7 +59,12 @@ def test_start_activates_pool_min_immediately():
             assert not slot.pending_start
         for slot in pool[config.pool_min:]:
             assert not slot.active and slot.worker is None
-    assert len(cluster.samplers) == config.devices
+    # Samplers run only when a registry asks for the series.
+    assert cluster.metrics is None and cluster.samplers == []
+    observed = ClusterSetup.build(config, metrics=MetricsRegistry())
+    observed.start(stop_time=1.0)
+    assert [s.prefix for s in observed.samplers] == [
+        f"node{i}" for i in range(config.devices)]
 
 
 def test_mid_run_activation_pays_cold_start():

@@ -129,18 +129,26 @@ FLEET_PINS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FLEET_PINS))
-def test_fleet_runs_are_pinned(name):
-    make_spec, router, faults, guard, pin = FLEET_PINS[name]
+def run_fleet_pin(name, *, rate_scale=1.0, metrics=None, **kwargs):
+    """Run one ``FLEET_PINS`` case (``kwargs`` reach the experiment)."""
+    make_spec, router, faults, guard, _pin = FLEET_PINS[name]
     spec = make_spec()
+    if rate_scale != 1.0:
+        spec = spec.at_rate(rate_scale * spec.offered_rps())
     config = ClusterConfig(
         devices=2, model_names=spec.models(), policy="krisp-i",
         batch_size=spec.request_batch_size(), seed=0, router=router,
         pool_size=2, pool_min=1)
-    result = run_cluster_experiment(
+    return run_cluster_experiment(
         config, spec, duration=1.0,
-        options=RunOptions(faults=faults, guard=guard))
-    assert cluster_result_hash(result) == pin
+        options=RunOptions(faults=faults, guard=guard, metrics=metrics),
+        **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(FLEET_PINS))
+def test_fleet_runs_are_pinned(name):
+    result = run_fleet_pin(name)
+    assert cluster_result_hash(result) == FLEET_PINS[name][-1]
 
 
 def test_fig13a_pin_survives_workload_runs():
