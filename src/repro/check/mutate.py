@@ -9,18 +9,19 @@ exit, so the smoke run leaves the process clean.
 
 The roster pairs each mutation with the checker expected to trip:
 
-=========================  ============================================
-mutation                   caught by
-=========================  ============================================
-``drop-dirty-entry``       incremental-mode device audit (stale rate)
-``ignore-co-residents``    device audit's slow-path rate comparison
-``skip-se-load-update``    counter self-audit inside the mask program
-``skew-mask-shape``        Algorithm-1 active-SE law (L3)
-``tamper-cached-result``   cached-vs-fresh differential hash
-``drop-enqueue-count``     request-conservation identity
-``scale-kernel-latency``   ``colo4``'s pinned hash (both modes agree)
-``stale-progress-credit``  ``chaos``'s pin and the full-recompute oracle
-=========================  ============================================
+==========================  ============================================
+mutation                    caught by
+==========================  ============================================
+``drop-dirty-entry``        incremental-mode device audit (stale rate)
+``ignore-co-residents``     device audit's slow-path rate comparison
+``skip-se-load-update``     counter self-audit inside the mask program
+``skew-mask-shape``         Algorithm-1 active-SE law (L3)
+``tamper-cached-result``    cached-vs-fresh differential hash
+``drop-enqueue-count``      request-conservation identity
+``scale-kernel-latency``    ``colo4``'s pinned hash (both modes agree)
+``stale-progress-credit``   ``chaos``'s pin and the full-recompute oracle
+``skip-completion-cancel``  ``chaos``'s pin (rate changes must cancel)
+==========================  ============================================
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.gpu.device import GpuDevice
 from repro.server.experiment import _isolated_pass_latency, isolated_baseline
 from repro.server.profiles import model_right_size
 from repro.server.request import RequestQueue
+from repro.sim.engine import Simulator
 
 __all__ = ["MUTATIONS", "Mutation"]
 
@@ -221,6 +223,19 @@ def _stale_progress_credit() -> Iterator[None]:
         yield
 
 
+@contextmanager
+def _skip_completion_cancel() -> Iterator[None]:
+    """A rate change leaves the superseded completion live.
+
+    ``GpuDevice._recompute_rates`` is the engine's only canceller, so
+    the stale completion fires too: a kernel whose rate fell retires at
+    its old, earlier time.
+    """
+    with _patch(Simulator, "cancel", lambda self, seq: None), \
+            _scratch_caches():
+        yield
+
+
 def _device_check() -> list[str]:
     # Incremental mode pinned explicitly: the dropped dirty entry only
     # exists on the incremental path.
@@ -302,6 +317,12 @@ MUTATIONS: tuple[Mutation, ...] = (
         "stale-progress-credit",
         "lazy progress credit drops the newest logged interval",
         _stale_progress_credit,
+        partial(_modes_check, "chaos"),
+    ),
+    Mutation(
+        "skip-completion-cancel",
+        "a rate change leaves the superseded completion scheduled",
+        _skip_completion_cancel,
         partial(_modes_check, "chaos"),
     ),
 )

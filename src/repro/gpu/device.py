@@ -64,7 +64,7 @@ from repro.gpu.exec_model import (
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.power import EnergyMeter, PowerModel
 from repro.gpu.topology import GpuTopology
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.process import Signal
 
 __all__ = ["GpuDevice", "KernelRecord"]
@@ -95,7 +95,8 @@ class KernelRecord:
     progress: float = 0.0
     eff_latency: float = 0.0
     end_time: Optional[float] = None
-    completion_event: Optional[Event] = field(default=None, repr=False)
+    #: Engine seq of the pending completion (-1 before the first).
+    completion_seq: int = field(default=-1, repr=False)
     on_complete: Optional[Callable[["KernelRecord"], None]] = field(
         default=None, repr=False
     )
@@ -547,16 +548,19 @@ class GpuDevice:
             # sort replays them in launch order.
             records = map(running.__getitem__, sorted(dirty))
         effective_latency = self._effective_latency
-        schedule = self.sim.schedule
-        now = self.sim._now
+        sim = self.sim
+        schedule = sim.schedule
+        now = sim._now
         end = self._log_base + len(self._advance_log) - 1
         for record in records:
             latency = effective_latency(record)
-            event = record.completion_event
-            if event is not None:
-                if not event.cancelled and latency == record.eff_latency:
+            seq = record.completion_seq
+            if seq >= 0:
+                # A resident's completion is always live: _complete
+                # drops the record before it recomputes.
+                if latency == record.eff_latency:
                     continue  # rate unchanged; completion still valid
-                event.cancel()
+                sim.cancel(seq)
             if record.credited != end:
                 self._credit(record)
             record.eff_latency = latency
@@ -564,7 +568,7 @@ class GpuDevice:
             # Inlined schedule_in: delay is >= 0 by construction and
             # ``now + delay`` is the exact float schedule_in computes.
             delay = 0.0 if remaining <= _PROGRESS_EPS else remaining * latency
-            record.completion_event = schedule(now + delay, record.complete_cb)
+            record.completion_seq = schedule(now + delay, record.complete_cb)
 
     def check_rate_invariant(self) -> None:
         """Assert every resident's cached rate matches a fresh recompute.

@@ -26,7 +26,10 @@ Crash/retry semantics: each dequeue starts a new *attempt*; phase marks
 of an aborted attempt are discarded on the next dequeue, and kernels are
 bound to the attempt that launched them, so attribution always describes
 the attempt that actually completed while ``retry_wait`` absorbs the
-aborted time.  Like the tracer, this module is standard-library-only.
+aborted time.  A crashed attempt's kernels still queued on its stream
+run after the crash (the hardware does not crash); they are bound to no
+attempt, even when they reach the device after the restarted worker has
+dequeued again.  Like the tracer, this module is standard-library-only.
 """
 
 from __future__ import annotations
@@ -138,6 +141,9 @@ class FlightRecorder(NullTracer):
         self._active: dict[str, RequestFlight] = {}
         #: launch_id -> (flight, attempt) bound at kernel launch.
         self._open: dict[int, tuple[RequestFlight, int]] = {}
+        #: worker name -> completion signal of the last kernel a crashed
+        #: attempt queued, until that kernel retires.
+        self._draining: dict[str, Any] = {}
 
     # -- clock -------------------------------------------------------------
     def bind_clock(self, clock: Callable[[], float]) -> None:
@@ -215,18 +221,28 @@ class FlightRecorder(NullTracer):
     def request_requeued(self, request: Any, worker: str) -> None:
         self._flight(request).retries = request.retries
 
-    def worker_crashed(self, worker: str) -> None:
+    def worker_crashed(self, worker: str, tail: Any = None) -> None:
         self._active.pop(worker, None)
+        # The worker's stream runs in order: until ``tail`` retires,
+        # every kernel it launches was queued by the crashed attempt.
+        if tail is not None and not tail.fired:
+            self._draining[worker] = tail
 
     # -- kernel execution --------------------------------------------------
     def kernel_launched(self, record: Any) -> None:
         launch = record.launch
-        flight = self._active.get(launch.tag or "")
+        worker = launch.tag or ""
+        if worker in self._draining:
+            return
+        flight = self._active.get(worker)
         if flight is not None:
             self._open[launch.launch_id] = (flight, flight.attempts)
 
     def kernel_retired(self, record: Any) -> None:
         launch = record.launch
+        draining = self._draining
+        if draining and draining.get(launch.tag or "") is record.done:
+            del draining[launch.tag or ""]
         bound = self._open.pop(launch.launch_id, None)
         if bound is None:
             return

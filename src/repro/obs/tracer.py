@@ -116,7 +116,7 @@ class NullTracer:
 
     def request_requeued(self, request: Any, worker: str) -> None: ...
 
-    def worker_crashed(self, worker: str) -> None: ...
+    def worker_crashed(self, worker: str, tail: Any = None) -> None: ...
 
     def worker_restarted(self, worker: str) -> None: ...
 
@@ -350,8 +350,9 @@ class Tracer:
             "retries": request.retries,
         })
 
-    def worker_crashed(self, worker: str) -> None:
-        """``worker`` crashed (fault injection)."""
+    def worker_crashed(self, worker: str, tail: Any = None) -> None:
+        """``worker`` crashed (fault injection); ``tail`` is the
+        completion signal of the last kernel its stream enqueued."""
         self.instant("server", worker, "crashed")
         active = self._active_request.get(worker)
         if active is not None:

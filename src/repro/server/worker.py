@@ -154,7 +154,8 @@ class Worker:
         self._current = None
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.worker_crashed(self.name)
+            tracer.worker_crashed(self.name,
+                                  self.stream.synchronize_signal())
         return orphan
 
     def restart(self) -> None:

@@ -7,8 +7,8 @@ timed callbacks, wakeable processes, and named deterministic RNG streams
 (:class:`~repro.sim.rng.RngRegistry`).
 """
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.process import Process, Signal
 from repro.sim.rng import RngRegistry
 
-__all__ = ["Event", "Simulator", "Process", "Signal", "RngRegistry"]
+__all__ = ["Simulator", "Process", "Signal", "RngRegistry"]

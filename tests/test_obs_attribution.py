@@ -10,7 +10,7 @@ latency, and the tail/body cohort partition conserves every component.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults.schedule import (
@@ -203,8 +203,19 @@ fault_plan = st.fixed_dictionaries({
 })
 
 
+def _crash_plan(crash_at: float, multiplier: float) -> dict:
+    """A crash under a straggler: the crashed attempt's queued kernels
+    still drain after the restarted worker dequeued the retry."""
+    return {"crash_worker": 0, "crash_at": crash_at, "crashes": 1,
+            "straggler": True, "multiplier": multiplier, "spike": False,
+            "storm": 0, "admission": None, "deadline_ms": None,
+            "retries": 1}
+
+
 @settings(max_examples=10, deadline=None)
 @given(fault_plan)
+@example(_crash_plan(0.34375, 5.0))
+@example(_crash_plan(0.375, 6.0))
 def test_components_nonnegative_and_sum_exactly_under_fault_churn(plan):
     warmup, end = measurement_window(SMALL)
     events = []

@@ -45,11 +45,27 @@ def test_cannot_schedule_in_the_past():
         sim.schedule_in(-0.1, lambda: None)
 
 
+def test_nan_times_are_rejected():
+    # NaN compares false with everything, so a plain ``time < now``
+    # guard would let it in and leave the clock at NaN.
+    sim = Simulator()
+    nan = float("nan")
+    with pytest.raises(SimulationError):
+        sim.schedule(nan, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_in(nan, lambda: None)
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.run(until=nan)
+    assert sim.pending() == 1
+    assert sim.run() == 1.0
+
+
 def test_cancelled_events_do_not_run():
     sim = Simulator()
     ran = []
-    event = sim.schedule(1.0, lambda: ran.append(1))
-    event.cancel()
+    seq = sim.schedule(1.0, lambda: ran.append(1))
+    sim.cancel(seq)
     sim.run()
     assert ran == []
     assert sim.events_executed == 0
@@ -83,11 +99,6 @@ def test_stop_halts_the_loop():
     assert sim.now == 1.0
 
 
-def test_step_returns_false_when_empty():
-    sim = Simulator()
-    assert sim.step() is False
-
-
 def test_max_events_limit():
     sim = Simulator()
     for i in range(10):
@@ -112,70 +123,95 @@ def test_max_events_zero_runs_nothing_and_negative_raises():
     assert ran == [0, 1, 2]
 
 
-def test_peek_skips_cancelled():
+def test_cancelled_head_is_skipped():
     sim = Simulator()
-    e1 = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    e1.cancel()
-    assert sim.peek() == 2.0
+    ran = []
+    first = sim.schedule(1.0, lambda: ran.append(1.0))
+    sim.schedule(2.0, lambda: ran.append(2.0))
+    sim.schedule(3.0, lambda: ran.append(3.0))
+    sim.cancel(first)
+    sim.run(max_events=1)
+    assert ran == [2.0]
+    assert sim.now == 2.0
+    assert sim.events_executed == 1
 
 
 # -- live-event accounting and heap compaction ---------------------------
 
 def test_pending_counter_matches_heap_scan():
     sim = Simulator()
-    events = [sim.schedule(float(i + 1), lambda: None) for i in range(50)]
+    seqs = [sim.schedule(float(i + 1), lambda: None) for i in range(50)]
     assert sim.pending() == sim._pending_scan() == 50
-    for event in events[::3]:
-        event.cancel()
-    assert sim.pending() == sim._pending_scan()
+    for seq in seqs[::3]:
+        sim.cancel(seq)
+    assert sim.pending() == sim._pending_scan() == 33
     sim.run(max_events=10)
-    assert sim.pending() == sim._pending_scan()
+    assert sim.pending() == sim._pending_scan() == 23
     # Double-cancel must not double-count.
-    events[0].cancel()
-    events[0].cancel()
-    assert sim.pending() == sim._pending_scan()
+    sim.cancel(seqs[-1])
+    sim.cancel(seqs[-1])
+    assert sim.pending() == sim._pending_scan() == 22
 
 
 def test_cancel_after_execution_does_not_corrupt_the_counter():
     sim = Simulator()
-    event = sim.schedule(1.0, lambda: None)
-    sim.run()
-    event.cancel()
-    assert sim._cancelled_in_heap == 0
-    assert sim.pending() == sim._pending_scan() == 0
+    seq = sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    sim.run(max_events=1)
+    sim.cancel(seq)
+    assert sim.pending() == sim._pending_scan() == 1
 
 
 def test_compaction_drops_dead_entries_and_preserves_order():
     sim = Simulator()
     order = []
-    events = []
+    seqs = []
     for i in range(Simulator.COMPACT_MIN + 200):
-        events.append(
+        seqs.append(
             sim.schedule(float(i + 1), lambda i=i: order.append(i)))
     live = []
-    for i, event in enumerate(events):
+    for i, seq in enumerate(seqs):
         if i % 4 == 0:
             live.append(i)
         else:
-            event.cancel()
+            sim.cancel(seq)
     # Cancelled entries now outnumber live ones; the next schedule()
     # compacts the heap down to the survivors (plus the new event).
     sentinel = sim.schedule(1e9, lambda: order.append(-1))
     assert len(sim._heap) == len(live) + 1
-    assert sim._cancelled_in_heap == 0
     assert sim.pending() == sim._pending_scan() == len(live) + 1
-    sentinel.cancel()
+    sim.cancel(sentinel)
     sim.run()
     assert order == live
 
 
 def test_small_heaps_are_never_compacted():
     sim = Simulator()
-    events = [sim.schedule(float(i + 1), lambda: None) for i in range(20)]
-    for event in events:
-        event.cancel()
+    for seq in [sim.schedule(float(i + 1), lambda: None)
+                for i in range(20)]:
+        sim.cancel(seq)
     sim.schedule(100.0, lambda: None)
     # Below COMPACT_MIN the dead entries stay (lazy deletion only).
     assert len(sim._heap) == 21
     assert sim.pending() == sim._pending_scan() == 1
+
+
+def test_compaction_inside_a_running_loop_keeps_order():
+    # A callback that cancels most of a large heap and schedules again
+    # compacts the heap the loop is popping from.
+    sim = Simulator()
+    order = []
+    seqs = []
+
+    def churn():
+        for i, seq in enumerate(seqs):
+            if i % 4:
+                sim.cancel(seq)
+        sim.schedule(0.5, lambda: order.append("new"))
+
+    sim.schedule(0.0, churn)
+    seqs.extend(sim.schedule(float(i + 1), lambda i=i: order.append(i))
+                for i in range(Simulator.COMPACT_MIN + 200))
+    sim.run()
+    assert len(sim._heap) == sim.pending() == 0
+    assert order == ["new"] + list(range(0, Simulator.COMPACT_MIN + 200, 4))

@@ -105,6 +105,9 @@ def _drive(program, full_recompute: bool):
             device.set_fault_latency_scale(step[1], tag=step[2])
         else:
             device.add_fault_bandwidth_demand(step[1])
+        # One live completion per resident: every rate change cancels
+        # the completion it supersedes.
+        assert sim.pending() == device.running_count()
         snapshots.append(tuple(
             (r.launch.descriptor.name, r.seq_no, r.eff_latency, r.progress)
             for r in device.residents()))
