@@ -13,7 +13,7 @@ unless the allocation was legitimately shrunk or floored.
 against a live :class:`~repro.gpu.device.GpuDevice`, calling its
 :meth:`~repro.gpu.device.GpuDevice.audit_state` at quiescent points.
 That method cross-checks every incrementally maintained structure
-(reverse indices, demand sets, meter aggregates, per-CU counters,
+(demand sets, meter aggregates, per-CU counters vs residents,
 cached rates) against fresh rescans and balances the work-conservation
 ledger: Σ per-CU assigned time == Σ per-kernel mask-size × residency.
 

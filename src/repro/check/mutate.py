@@ -4,24 +4,25 @@ An invariant checker that never fires is indistinguishable from one
 that works, so ``krisp-repro check --mutate-smoke`` seeds one concrete
 bug at a time — each a realistic regression in a load-bearing code path
 — and asserts the targeted checker *catches* it.  Every mutation is a
-context manager that monkey-patches a live class and restores it on
-exit, so the smoke run leaves the process clean.
+context manager that monkey-patches a live class (or module) and
+restores it on exit, so the smoke run leaves the process clean.
 
 The roster pairs each mutation with the checker expected to trip:
 
-==========================  ============================================
-mutation                    caught by
-==========================  ============================================
-``drop-dirty-entry``        incremental-mode device audit (stale rate)
-``ignore-co-residents``     device audit's slow-path rate comparison
-``skip-se-load-update``     counter self-audit inside the mask program
-``skew-mask-shape``         Algorithm-1 active-SE law (L3)
-``tamper-cached-result``    cached-vs-fresh differential hash
-``drop-enqueue-count``      request-conservation identity
-``scale-kernel-latency``    ``colo4``'s pinned hash (both modes agree)
-``stale-progress-credit``   ``chaos``'s pin and the full-recompute oracle
-``skip-completion-cancel``  ``chaos``'s pin (rate changes must cancel)
-==========================  ============================================
+===============================  ======================================
+mutation                         caught by
+===============================  ======================================
+``drop-dirty-entry``             incremental device audit (any path)
+``ignore-co-residents``          device audit's slow-path rate check
+``skip-se-load-update``          counter self-audit in the mask program
+``skew-mask-shape``              Algorithm-1 active-SE law (L3)
+``tamper-cached-result``         cached-vs-fresh differential hash
+``drop-enqueue-count``           request-conservation identity
+``scale-kernel-latency``         ``colo4``'s pin (both modes agree)
+``stale-progress-credit``        ``chaos``'s pin and the full oracle
+``skip-completion-cancel``       ``chaos``'s pin (changes must cancel)
+``fold-skips-dispatch-latency``  ``profiling-oracle`` (fold vs DES)
+===============================  ======================================
 """
 
 from __future__ import annotations
@@ -34,11 +35,13 @@ from contextlib import contextmanager
 from functools import partial
 from typing import Callable, Iterator
 
+from repro.check.profiling import check_profiling_oracle
 from repro.core.allocation import ResourceMaskGenerator
 from repro.exp.cache import ContentStore
 from repro.gpu.counters import CUKernelCounters
 from repro.gpu.cu_mask import CUMask
 from repro.gpu.device import GpuDevice
+from repro.profiling import model_profiler
 from repro.server.experiment import _isolated_pass_latency, isolated_baseline
 from repro.server.profiles import model_right_size
 from repro.server.request import RequestQueue
@@ -60,7 +63,7 @@ class Mutation:
 
 
 @contextmanager
-def _patch(owner: type, name: str, replacement: Callable) -> Iterator[None]:
+def _patch(owner: object, name: str, replacement: object) -> Iterator[None]:
     """Install ``replacement`` as ``owner.name`` for the block."""
     original = getattr(owner, name)
     setattr(owner, name, replacement)
@@ -72,11 +75,12 @@ def _patch(owner: type, name: str, replacement: Callable) -> Iterator[None]:
 
 @contextmanager
 def _drop_dirty_entry() -> Iterator[None]:
-    """Incremental recompute forgets the newest-launched dirty record."""
+    """Incremental recompute forgets the newest-launched dirty record
+    (a lone launch, then, its own first rate)."""
     original = GpuDevice._dirty_after_mask_change
 
-    def mutated(self, mask, old_total):
-        dirty = original(self, mask, old_total)
+    def mutated(self, record, old_total):
+        dirty = original(self, record, old_total)
         if dirty:
             dirty.discard(max(dirty))
         return dirty
@@ -236,6 +240,15 @@ def _skip_completion_cancel() -> Iterator[None]:
         yield
 
 
+@contextmanager
+def _fold_skips_dispatch_latency() -> Iterator[None]:
+    """The folded profiling pass drops the packet-processing latency
+    the simulated command processor charges before every kernel."""
+    with _patch(model_profiler, "_DISPATCH_LATENCY", 0.0), \
+            _scratch_caches():
+        yield
+
+
 def _device_check() -> list[str]:
     # Incremental mode pinned explicitly: the dropped dirty entry only
     # exists on the incremental path.
@@ -324,5 +337,11 @@ MUTATIONS: tuple[Mutation, ...] = (
         "a rate change leaves the superseded completion scheduled",
         _skip_completion_cancel,
         partial(_modes_check, "chaos"),
+    ),
+    Mutation(
+        "fold-skips-dispatch-latency",
+        "the folded profiling pass drops the per-kernel dispatch latency",
+        _fold_skips_dispatch_latency,
+        lambda: check_profiling_oracle()[0],
     ),
 )

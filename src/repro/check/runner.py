@@ -5,7 +5,8 @@ Two entry points:
 :func:`run_checks`
     Executes the global invariant checks (mask laws, device audits in
     both recompute modes, the emulation correction, the metamorphic
-    laws) plus per-scenario differential replays, and returns a
+    laws, the profiling fold against the simulator) plus per-scenario
+    differential replays, and returns a
     :class:`~repro.check.report.CheckReport`.
 
 :func:`run_mutate_smoke`
@@ -37,6 +38,7 @@ from repro.check.emulation import check_emulation_correction
 from repro.check.invariants import run_device_program, run_mask_program
 from repro.check.metamorphic import check_mask_growth, check_overlap_limit_law
 from repro.check.mutate import MUTATIONS
+from repro.check.profiling import check_profiling_oracle
 from repro.check.report import CheckReport, CheckResult
 from repro.check.scenarios import SCENARIOS
 
@@ -102,6 +104,7 @@ def _global_checks() -> list[tuple[str, CheckFn]]:
         ("mask-growth", check_mask_growth),
         ("overlap-limit-law", check_overlap_limit_law),
         ("attribution-conservation", check_attribution_conservation),
+        ("profiling-oracle", check_profiling_oracle),
     ]
 
 

@@ -28,7 +28,6 @@ The fleet grid (:func:`repro.cluster.run_fleet`) runs
 from repro.exp.cache import (
     CacheStats,
     ContentStore,
-    JsonStore,
     cache_key,
     default_cache,
     fingerprint,
@@ -69,7 +68,6 @@ from repro.exp.sweep import (
 __all__ = [
     "CacheStats",
     "ContentStore",
-    "JsonStore",
     "cache_key",
     "default_cache",
     "fingerprint",

@@ -24,8 +24,8 @@ of tens of thousands of files; flat entries written by pre-sharding
 versions are found and migrated into their shard on first read, keys
 unchanged (see :func:`locate_entry`).
 
-Set ``REPRO_CACHE_DIR`` to relocate the store (shared with the profiling
-cache in :mod:`repro.server.profiles`); delete the directory to clear it.
+Set ``REPRO_CACHE_DIR`` to relocate the store; delete the directory to
+clear it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import json
 import logging
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
@@ -55,7 +55,6 @@ from repro.server.slo import ResilienceStats, SloGuard
 __all__ = [
     "CacheStats",
     "ContentStore",
-    "JsonStore",
     "cache_key",
     "default_cache",
     "fingerprint",
@@ -322,58 +321,6 @@ class CacheStats:
 
     def as_dict(self) -> dict[str, int]:
         return dataclasses.asdict(self)
-
-
-@dataclass
-class JsonStore:
-    """A dict-shaped key/value store persisted as one JSON file.
-
-    Generalises the ad-hoc right-size cache of
-    :mod:`repro.server.profiles`: corrupt files are counted misses, not
-    crashes, and writes are best-effort.
-    """
-
-    path: Path
-    stats: CacheStats = field(default_factory=CacheStats)
-
-    def load(self) -> dict[str, Any]:
-        """The whole store; ``{}`` on absence or corruption."""
-        try:
-            raw = self.path.read_text()
-        except FileNotFoundError:
-            return {}
-        except OSError:
-            self.stats.invalidations += 1
-            return {}
-        try:
-            data = json.loads(raw)
-            if not isinstance(data, dict):
-                raise ValueError("store root is not an object")
-            return data
-        except ValueError:
-            self.stats.invalidations += 1
-            logger.warning("discarding corrupt cache file %s", self.path)
-            return {}
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Value for ``key`` or ``default``."""
-        data = self.load()
-        if key in data:
-            self.stats.hits += 1
-            return data[key]
-        self.stats.misses += 1
-        return default
-
-    def put(self, key: str, value: Any) -> None:
-        """Best-effort read-modify-write of one entry (atomic publish)."""
-        data = self.load()
-        data[key] = value
-        try:
-            _atomic_write_text(
-                self.path, json.dumps(data, indent=2, sort_keys=True))
-            self.stats.stores += 1
-        except OSError:
-            pass  # caching is best-effort; computation still works
 
 
 class ContentStore:

@@ -23,16 +23,16 @@ because counts stay within ``max_kernels_per_cu <= 127``.
   <repro.gpu.device.GpuDevice._effective_latency>` reads it to return a
   kernel's wave-quantised floor latency before its per-CU capacity loop
   whenever the kernel is alone on its CUs.
+- busy anywhere on the mask (:meth:`CUKernelCounters.busy_on`).  With
+  ``shared`` it tells the device when a launch or retirement leaves the
+  CUs to no other kernel, so its rate dirty set needs no resident scan.
 
 Every check covers the whole mask before anything is written, so a
 refused assign or release leaves the counters untouched.  The cost of a
 dispatch or retire no longer grows with the mask's width: one
 assign+release pair takes 1.1–2.1 µs at every width from 4 to 60 CUs,
 where the per-CU list walk it replaced took 1.4–2.1 µs at 4 CUs and
-13–17 µs at 60 (2-core VM, CPython 3.11).  The device's CU→resident
-reverse index stays per CU: grouping residents by mask or by SE, or
-scanning resident bits at C level, made the dirty-set union 2–3× slower
-on the dense 20-worker cell, whose masks average 3.9 CUs.
+13–17 µs at 60 (2-core VM, CPython 3.11).
 """
 
 from __future__ import annotations
@@ -141,6 +141,10 @@ class CUKernelCounters:
     def shared(self, mask: CUMask) -> bool:
         """Whether some CU of ``mask`` holds at least two kernels."""
         return bool((self._lanes + self._shared_bias) & mask.lanes_high)
+
+    def busy_on(self, mask: CUMask) -> bool:
+        """Whether some CU of ``mask`` holds at least one kernel."""
+        return bool((self._lanes + self._busy_bias) & mask.lanes_high)
 
     def count(self, cu: int) -> int:
         """Kernels currently assigned to global CU ``cu``."""

@@ -10,14 +10,15 @@ rescheduled at their new rates — an exact piecewise-constant-rate
 memoised per (descriptor, mask); the slow-path formulas in
 :mod:`repro.gpu.exec_model` stay the single source of truth.
 
-Rate recomputes are *incremental*: a CU→resident-records reverse index
-turns every state change into an exact dirty set — the records whose CUs
-intersect the changed mask, plus the bandwidth-demanding records when
-the pool moves into, out of or within the over-budget regime (or every
-record, for a fault-scale change).  ``_effective_latency`` depends only
-on those terms, so recomputing the dirty set in launch order yields the
-byte-identical float sequence of the full sweep; once the dirty set
-covers half the residents the device sweeps them all instead.
+Rate recomputes are *incremental*: every state change has an exact
+dirty set — the records whose CUs intersect the changed mask (read off
+the packed CU counters unless the change is on shared CUs), plus the
+bandwidth-demanding records when the pool moves into, out of or within
+the over-budget regime (or every record, for a fault-scale change).
+``_effective_latency`` depends only on those terms, so recomputing the
+dirty set in launch order yields the byte-identical float sequence of
+the full sweep; once the dirty set covers half the residents the device
+sweeps them all instead.
 
 Progress is credited *lazily and exactly*.  The first state change at a
 new instant closes every time integral once: it appends ``now`` to an
@@ -160,14 +161,11 @@ class GpuDevice:
             full_recompute = flag in ("1", "true")
         self.full_recompute = full_recompute
         # Incremental-recompute state, keyed by per-device launch seq
-        # numbers: CU → resident seq numbers, the seq numbers with
-        # positive bandwidth demand (the reach of the over-budget
-        # throttle term), the per-SE occupied-CU aggregate
-        # (integer-exact, so the meter never rescans the resident set),
-        # a per-device launch sequence, and the memoised (descriptor,
-        # mask) launch invariants.
-        self._cu_records: tuple[set[int], ...] = tuple(
-            set() for _ in range(self.topology.total_cus))
+        # numbers: the seq numbers with positive bandwidth demand (the
+        # reach of the over-budget throttle term), the per-SE
+        # occupied-CU aggregate (integer-exact, so the meter never
+        # rescans the resident set), a per-device launch sequence, and
+        # the memoised (descriptor, mask) launch invariants.
         self._demand_ids: set[int] = set()
         self._occupied_per_se: list[int] = [0] * self.topology.num_se
         self._next_seq_no = 0
@@ -248,9 +246,6 @@ class GpuDevice:
         old_total = self._total_demand
         self._total_demand += record.demand
         self._running[seq_no] = record
-        cu_records = self._cu_records
-        for cu in mask.cu_tuple:
-            cu_records[cu].add(seq_no)
         if record.demand > 0.0:
             self._demand_ids.add(seq_no)
         self._occupied_per_se = list(
@@ -260,7 +255,7 @@ class GpuDevice:
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.kernel_launched(record)
-        self._recompute_rates(self._dirty_after_mask_change(mask, old_total))
+        self._recompute_rates(self._dirty_after_mask_change(record, old_total))
         return record
 
     def busy(self) -> bool:
@@ -506,13 +501,24 @@ class GpuDevice:
         budget = self.exec_config.mem_bandwidth_budget
         return old_total > budget or new_total > budget
 
-    def _dirty_after_mask_change(self, mask: CUMask,
+    def _dirty_after_mask_change(self, record: KernelRecord,
                                  old_total: float) -> set[int]:
-        """Exact dirty set after launching/retiring a kernel on ``mask``."""
-        dirty: set[int] = set()
-        cu_records = self._cu_records
-        for cu in mask.cu_tuple:
-            dirty |= cu_records[cu]
+        """Exact dirty set after ``record`` launched or retired.
+
+        Its CU part, the residents whose masks meet ``record.mask``, is
+        the launched kernel alone when no other kernel holds its CUs,
+        nobody when a retirement leaves them idle, else a scan.
+        """
+        running = self._running
+        mask = record.mask
+        launched = record.seq_no in running
+        counters = self.counters
+        if counters.shared(mask) if launched else counters.busy_on(mask):
+            bits = mask.bits
+            dirty = {seq for seq, other in running.items()
+                     if other.mask.bits & bits}
+        else:
+            dirty = {record.seq_no} if launched else set()
         fault = self._fault_demand
         if self._regime_crossed(old_total + fault,
                                 self._total_demand + fault):
@@ -596,8 +602,8 @@ class GpuDevice:
         """Full structural self-audit at a quiescent point.
 
         Cross-checks every incrementally maintained structure (the
-        CU→resident reverse index, the demand set, the occupied-CU meter
-        aggregate, the counters, the cached rates) against a fresh
+        demand set, the occupied-CU meter aggregate, the counters, the
+        cached rates) against a fresh
         rescan of the resident set, every cached rate against the
         slow-path formulas of :mod:`repro.gpu.exec_model`, and balances
         the work-conservation ledger.  Returns human-readable violation
@@ -620,21 +626,14 @@ class GpuDevice:
                 f"pool-switch cost {self.pool_switch_cost_s} s accrued "
                 "with zero switches")
 
-        # Reverse index (CU -> resident seq numbers) and counters vs the
-        # resident set (the Resource Monitor must agree with the device
-        # about who is where).
+        # Counters vs the resident set (the Resource Monitor must agree
+        # with the device about who is where; the dirty sets read it).
         for cu in range(topo.total_cus):
-            expected = {seq for seq, rec in running.items()
-                        if rec.mask.has(cu)}
-            if self._cu_records[cu] != expected:
-                violations.append(
-                    f"device: CU {cu} reverse index "
-                    f"{sorted(self._cu_records[cu])} != resident rescan "
-                    f"{sorted(expected)}")
-            if self.counters.count(cu) != len(expected):
+            expected = sum(1 for rec in running.values() if rec.mask.has(cu))
+            if self.counters.count(cu) != expected:
                 violations.append(
                     f"device: CU {cu} counter {self.counters.count(cu)} "
-                    f"!= resident kernels {len(expected)}")
+                    f"!= resident kernels {expected}")
         violations.extend(self.counters.audit())
 
         # Demand set: seq numbers with positive bandwidth demand.
@@ -730,9 +729,6 @@ class GpuDevice:
         mask = record.mask
         self.work_cu_seconds += mask.count() * (now - record.start_time)
         self.counters.release(mask)
-        cu_records = self._cu_records
-        for cu in mask.cu_tuple:
-            cu_records[cu].discard(seq_no)
         self._demand_ids.discard(seq_no)
         self._occupied_per_se = list(
             map(sub, self._occupied_per_se, record.occupied_per_se))
@@ -741,7 +737,7 @@ class GpuDevice:
         if not running:
             self._total_demand = 0.0  # absorb float drift at idle points
             self._trim_log()
-        self._recompute_rates(self._dirty_after_mask_change(mask, old_total))
+        self._recompute_rates(self._dirty_after_mask_change(record, old_total))
         self.kernels_completed += 1
         tracer = self.sim.tracer
         if tracer.enabled:

@@ -4,8 +4,8 @@
   single kernel and finds its *minimum required CUs* (the fewest CUs with
   the same latency as the full GPU, Section IV-B); builds the performance
   database the runtime right-sizer consults.
-* :mod:`~repro.profiling.model_profiler` — runs whole inference passes on
-  the simulator under restricted stream masks to obtain the
+* :mod:`~repro.profiling.model_profiler` — times whole inference passes
+  (folded over the trace) under restricted stream masks to obtain the
   latency/throughput-vs-CUs curves of Fig. 3 and the model-wise
   right-size ("kneepoint") used by prior work.
 """

@@ -1,9 +1,11 @@
 """Model-level sensitivity profiling (paper Fig. 3 and Table III).
 
-Runs complete inference passes on the simulated stack — HSA queue,
-command processor, device — under stream-scoped CU masks of decreasing
-size, yielding the latency/throughput-vs-active-CUs curves prior work
-uses for *model-wise* right-sizing, and the resulting kneepoint.
+Times complete inference passes under stream-scoped CU masks of
+decreasing size, yielding the latency/throughput-vs-active-CUs curves
+prior work uses for *model-wise* right-sizing, and the resulting
+kneepoint.  A pass alone on an idle device has a closed form, so no
+simulator is built: the ``profiling-oracle`` check holds the fold equal
+to the simulated pass (:mod:`repro.check.profiling`) bit for bit.
 """
 
 from __future__ import annotations
@@ -11,18 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core.allocation import DistributionPolicy, ResourceMaskGenerator
-from repro.gpu.counters import CUKernelCounters
+from repro.core.allocation import DistributionPolicy
+from repro.gpu.command_processor import CommandProcessorConfig
 from repro.gpu.cu_mask import CUMask
-from repro.gpu.device import GpuDevice
-from repro.gpu.exec_model import ExecutionModelConfig
+from repro.gpu.exec_model import (
+    ExecutionModelConfig,
+    bandwidth_demand,
+    isolated_latency,
+    memory_throttle,
+)
 from repro.gpu.kernel import KernelDescriptor
 from repro.gpu.topology import GpuTopology
 from repro.models.zoo import ModelSpec
 from repro.profiling.kernel_profiler import KernelProfiler
-from repro.runtime.hsa import HsaRuntime
-from repro.runtime.stream import Stream
-from repro.sim.engine import Simulator
 
 __all__ = [
     "ModelSensitivity",
@@ -30,6 +33,10 @@ __all__ = [
     "profile_model",
     "kernel_mincu_trace",
 ]
+
+#: Firmware cost of consuming one dispatch packet, paid before every
+#: kernel of a pass (the command processor's default timing).
+_DISPATCH_LATENCY = CommandProcessorConfig().packet_process_latency
 
 
 @dataclass(frozen=True)
@@ -57,19 +64,28 @@ def run_inference_once(
     mask: CUMask,
     exec_config: Optional[ExecutionModelConfig] = None,
 ) -> float:
-    """Execute one inference pass alone on a fresh device; returns its
-    end-to-end latency in seconds."""
-    sim = Simulator()
-    device = GpuDevice(sim, mask.topology, exec_config=exec_config)
-    runtime = HsaRuntime(sim, device)
-    stream = Stream(runtime, name="profile")
-    stream.queue.set_cu_mask(mask)
+    """End-to-end latency in seconds of one inference pass alone on an
+    idle device whose stream is masked to ``mask``.
+
+    Each kernel waits for its predecessor (the stream's barrier bit),
+    then for the packet processor, then runs alone at its isolated
+    latency, throttled only when its own bandwidth demand exceeds the
+    budget: the simulator's two ``now + delay`` steps, in its order.
+    """
+    config = exec_config or ExecutionModelConfig()
+    dispatch = _DISPATCH_LATENCY
+    latencies: dict[KernelDescriptor, float] = {}
+    t = 0.0
     for desc in trace:
-        stream.launch_kernel(desc)
-    sim.run()
-    if device.busy():
-        raise RuntimeError("inference did not drain; simulator deadlock")
-    return sim.now
+        latency = latencies.get(desc)
+        if latency is None:
+            demand = bandwidth_demand(desc, mask)
+            latency = latencies[desc] = (
+                isolated_latency(desc, mask, config)
+                / memory_throttle(desc, demand, demand, config))
+        t = t + dispatch
+        t = t + latency
+    return t
 
 
 def profile_model(
@@ -94,16 +110,14 @@ def profile_model(
     cu_counts = tuple(sorted(set(cu_counts)))
     if not cu_counts:
         raise ValueError("cu_counts must be non-empty")
-    generator = ResourceMaskGenerator(topology, policy=policy)
     trace = model.trace(batch_size, topology)
     # Non-hidden host time is CU-independent; it adds a constant to every
     # point of the sweep (and flattens the relative curve, exactly as on
     # real hardware).
     host_time = model.host_gap_total(batch_size)
-    latencies = []
-    for n in cu_counts:
-        mask = generator.generate(n, CUKernelCounters(topology))
-        latencies.append(run_inference_once(trace, mask, exec_config) + host_time)
+    mask_for = KernelProfiler(topology, policy=policy).mask_for
+    latencies = [run_inference_once(trace, mask_for(n), exec_config)
+                 + host_time for n in cu_counts]
     full_mask = CUMask.all_cus(topology)
     full_latency = run_inference_once(trace, full_mask, exec_config) + host_time
     budget = full_latency * (1.0 + tolerance)

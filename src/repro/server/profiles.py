@@ -1,15 +1,12 @@
-"""Cached offline profiling inputs for server policies.
+"""Memoised offline profiling inputs for server policies.
 
 Model-wise right-sizes (the Model Right-Size policy's input) and kernel
-performance databases (KRISP's input) are offline profiling products.
-Both are deterministic functions of the model zoo and the timing model,
-so they are memoised in-process; right-sizes — the only expensive sweep —
-are additionally persisted through the :class:`~repro.exp.cache
-.JsonStore` on disk (the analogue of the paper's install-time profiling
-databases).  Corrupt cache files are treated as misses and recomputed.
-
-Set ``REPRO_CACHE_DIR`` to relocate the on-disk cache; delete the file to
-force re-profiling.
+performance databases (KRISP's input) are the analogue of the paper's
+install-time profiling databases.  Both are deterministic functions of
+the model zoo and the timing model and cheap to compute — a right-size
+sweep folds 60 profiling passes in milliseconds — so they are memoised
+in-process only, and a timing-model or zoo change can never serve a
+stale one.
 """
 
 from __future__ import annotations
@@ -26,36 +23,19 @@ __all__ = ["combined_database", "model_database", "model_right_size"]
 _RIGHTSIZE_TOLERANCE = 0.05
 
 
-def _store():
-    """The right-size store (re-resolves ``REPRO_CACHE_DIR`` per call)."""
-    from repro.exp.cache import JsonStore, cache_root
-    return JsonStore(cache_root() / "rightsize.json")
-
-
 @lru_cache(maxsize=None)
 def model_right_size(model_name: str, batch_size: int = 32) -> int:
     """Profiled model-wise right-size (kneepoint) in CUs.
 
     This is the quantity every prior-work policy in Table II profiles
-    offline; it is cached on disk because the sweep runs dozens of full
-    inference passes.
+    offline: the kneepoint of a sweep over every CU count from 2 to 60.
     """
-    key = f"{model_name}|{batch_size}|{_RIGHTSIZE_TOLERANCE}"
-    store = _store()
-    cached = store.get(key)
-    if cached is not None:
-        try:
-            return int(cached)
-        except (TypeError, ValueError):
-            pass  # corrupt value: fall through and re-profile
-    sensitivity = profile_model(
+    return profile_model(
         get_model(model_name),
         batch_size=batch_size,
         cu_counts=range(2, 61),
         tolerance=_RIGHTSIZE_TOLERANCE,
-    )
-    store.put(key, sensitivity.right_size)
-    return sensitivity.right_size
+    ).right_size
 
 
 @lru_cache(maxsize=None)

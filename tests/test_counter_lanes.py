@@ -114,6 +114,8 @@ def test_packed_counters_match_naive_model(topo, data):
         for probe in (mask, CUMask.all_cus(topo)):
             assert counters.shared(probe) == any(
                 naive.counts[cu] >= 2 for cu in probe.cu_tuple)
+            assert counters.busy_on(probe) == any(
+                naive.counts[cu] >= 1 for cu in probe.cu_tuple)
         _assert_same_state(counters, naive)
 
 

@@ -4,10 +4,14 @@ Random workloads (kernel shapes, masks, launch times) must preserve the
 core conservation laws of the rate-sharing execution model: every kernel
 completes, never faster than its isolated latency and never slower than
 the fully-time-sliced bound; counters drain to zero; energy is positive
-and bounded by peak power times elapsed time.
+and bounded by peak power times elapsed time; and every launch and
+retirement revalidates exactly the residents a per-CU rescan finds.
 """
 
+import dataclasses
 import math
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,3 +131,76 @@ def test_identical_kernels_finish_together(descs):
     sim.run()
     ends = {round(r.end_time, 12) for r in records}
     assert len(ends) == 1
+
+
+DIRTY_TOPOLOGIES = [
+    TOPO,
+    dataclasses.replace(TOPO, max_kernels_per_cu=3),
+    GpuTopology(num_se=3, cus_per_se=7, max_kernels_per_cu=4,
+                name="odd-3x7"),
+]
+
+
+class _DirtyProbe(GpuDevice):
+    """Compares every dirty set with a per-CU rescan of the residents."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.compared = 0
+
+    def _dirty_after_mask_change(self, record, old_total):
+        dirty = super()._dirty_after_mask_change(record, old_total)
+        running = self._running
+        expected = set()
+        for cu in record.mask.cu_tuple:
+            expected |= {seq for seq, other in running.items()
+                         if other.mask.has(cu)}
+        fault = self._fault_demand
+        if self._regime_crossed(old_total + fault,
+                                self._total_demand + fault):
+            expected |= {seq for seq, other in running.items()
+                         if other.demand > 0.0}
+        assert dirty == expected, (record.seq_no, sorted(dirty),
+                                   sorted(expected))
+        self.compared += 1
+        return dirty
+
+
+def _dirty_masks(topology, layout):
+    """Masks that overlap freely, or slices of a fixed disjoint split
+    (kernels sharing a slice still overlap one another)."""
+    total = topology.total_cus
+    if layout == "overlapping":
+        return st.sets(st.integers(0, total - 1), min_size=1,
+                       max_size=total)
+    width = max(1, total // 4)
+    return st.integers(0, total // width - 1).map(
+        lambda i: set(range(i * width, (i + 1) * width)))
+
+
+@pytest.mark.parametrize("topology", DIRTY_TOPOLOGIES,
+                         ids=["mi50", "mi50-limit3", "odd-3x7"])
+@pytest.mark.parametrize("layout", ["overlapping", "disjoint"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_gated_dirty_set_equals_per_cu_rescan(topology, layout, data):
+    program = data.draw(st.lists(
+        st.tuples(kernel_strategy, _dirty_masks(topology, layout),
+                  st.floats(min_value=0.0, max_value=1e-3)),
+        min_size=1, max_size=10))
+    sim = Simulator()
+    device = _DirtyProbe(sim, topology, exec_config=CFG)
+
+    def launch(desc, cus):
+        try:
+            device.launch(KernelLaunch(desc),
+                          CUMask.from_cus(topology, cus))
+        except OverflowError:
+            pass  # a CU at its counter limit refuses the kernel
+
+    for desc, cus, delay in program:
+        sim.schedule(delay, lambda d=desc, c=cus: launch(d, c))
+    sim.run()
+    assert not device.busy()
+    # One comparison per launch and one per retirement.
+    assert device.compared == 2 * device.kernels_completed

@@ -10,7 +10,6 @@ import pytest
 import repro
 from repro.exp.cache import (
     ContentStore,
-    JsonStore,
     cache_key,
     cache_root,
     config_from_dict,
@@ -155,71 +154,11 @@ def test_cached_run_experiment_recomputes_after_corruption(monkeypatch,
     assert cache.stats.invalidations == 1
 
 
-def test_json_store_corruption_is_a_miss(tmp_path):
-    store = JsonStore(tmp_path / "store.json")
-    assert store.get("k") is None
-    store.put("k", 42)
-    assert store.get("k") == 42
-    (tmp_path / "store.json").write_text("{broken")
-    assert store.get("k") is None
-    assert store.stats.invalidations >= 1
-    # put() over a corrupt file rebuilds it.
-    store.put("k", 43)
-    assert store.get("k") == 43
-
-
 def test_cache_root_honours_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     assert cache_root() == tmp_path
     monkeypatch.delenv("REPRO_CACHE_DIR")
     assert cache_root().name == "repro-krisp"
-
-
-def test_json_store_concurrent_writers_never_corrupt(tmp_path):
-    """Regression: writes publish via temp file + ``os.replace``, so a
-    reader racing several writers sees only complete payloads — the old
-    truncate-then-write path could expose a partially written file."""
-    import threading
-
-    path = tmp_path / "store.json"
-    # A payload large enough that a non-atomic write is interruptible.
-    payloads = {f"writer-{i}": list(range(i, i + 4000)) for i in range(4)}
-    JsonStore(path).put("k", payloads["writer-0"])
-
-    stop = threading.Event()
-    corrupt: list[str] = []
-
-    def write(tag):
-        store = JsonStore(path)
-        for _ in range(25):
-            store.put("k", payloads[tag])
-
-    def read():
-        reader = JsonStore(path)
-        while not stop.is_set():
-            data = reader.load()
-            if reader.stats.invalidations:
-                corrupt.append("reader saw a corrupt store file")
-                return
-            if data.get("k") not in payloads.values():
-                corrupt.append(f"reader saw a torn value: {data.get('k')!r}")
-                return
-
-    readers = [threading.Thread(target=read) for _ in range(2)]
-    writers = [threading.Thread(target=write, args=(tag,))
-               for tag in payloads]
-    for thread in readers + writers:
-        thread.start()
-    for thread in writers:
-        thread.join()
-    stop.set()
-    for thread in readers:
-        thread.join()
-
-    assert corrupt == []
-    # Last write wins with a complete value, and no temp files leak.
-    assert JsonStore(path).get("k") in payloads.values()
-    assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
 
 
 # -- shard layout & legacy migration -----------------------------------------

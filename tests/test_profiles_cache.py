@@ -1,6 +1,4 @@
-"""Tests for the profiling cache layer (server/profiles.py)."""
-
-import json
+"""Tests for the profiling memo layer (server/profiles.py)."""
 
 from repro.server import profiles
 from repro.server.profiles import (
@@ -11,36 +9,21 @@ from repro.server.profiles import (
 
 
 def test_cache_path_shim_is_gone():
-    # Deprecated since PR 3, removed with the RunOptions consolidation:
-    # the store lives in repro.exp.cache (JsonStore under cache_root()).
+    # Right-sizes are memoised in-process only; there is no on-disk
+    # profiling store to locate.
     assert not hasattr(profiles, "cache_path")
     assert "cache_path" not in profiles.__all__
 
 
-def test_right_size_persists_to_disk(monkeypatch, tmp_path):
+def test_right_size_writes_nothing_to_disk(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     model_right_size.cache_clear()
-    size = model_right_size("squeezenet", 32)
+    try:
+        size = model_right_size("squeezenet", 32)
+    finally:
+        model_right_size.cache_clear()
     assert 15 <= size <= 30
-    payload = json.loads((tmp_path / "rightsize.json").read_text())
-    assert any("squeezenet" in key for key in payload)
-    # A fresh in-process cache hits the disk entry (no re-profiling):
-    # corrupt the stored value and confirm it is trusted.
-    key = next(iter(payload))
-    payload[key] = 59
-    (tmp_path / "rightsize.json").write_text(json.dumps(payload))
-    model_right_size.cache_clear()
-    assert model_right_size("squeezenet", 32) == 59
-    model_right_size.cache_clear()
-
-
-def test_corrupt_cache_file_is_ignored(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    (tmp_path / "rightsize.json").write_text("{not json")
-    model_right_size.cache_clear()
-    size = model_right_size("squeezenet", 32)
-    assert 15 <= size <= 30
-    model_right_size.cache_clear()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_model_database_covers_trace_and_memoizes():

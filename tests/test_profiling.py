@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.profiling import simulate_inference_once
 from repro.core.perfdb import PerfDatabase
 from repro.gpu.cu_mask import CUMask
 from repro.gpu.exec_model import ExecutionModelConfig, isolated_latency
@@ -29,8 +30,30 @@ def test_profiler_analytic_matches_simulator():
             analytic = profiler.latency_at(desc, n)
             # One extra packet-processing hop exists in the full stack;
             # account for it explicitly.
-            simulated = run_inference_once([desc], mask)
+            simulated = simulate_inference_once([desc], mask)
             assert simulated == pytest.approx(analytic, rel=0.05)
+
+
+FOLD_MODELS = ("albert", "alexnet", "mobilenet", "resnext101", "shufflenet",
+               "squeezenet", "vgg19")
+FOLD_CUS = (1, 2, 3, 7, 15, 20, 31, 46, 59, 60)
+FOLD_CONFIGS = (ExecutionModelConfig(),
+                ExecutionModelConfig(mem_bandwidth_budget=0.3))
+
+
+@pytest.mark.parametrize("model_name", FOLD_MODELS)
+def test_fold_equals_simulated_pass_bit_for_bit(model_name):
+    """The folded pass is the simulator's end time, not an estimate: 80
+    cases per model (4 batches x 10 CU counts x 2 timing models)."""
+    model = get_model(model_name)
+    masks = [KernelProfiler().mask_for(n) for n in FOLD_CUS]
+    for batch in (1, 4, 8, 32):
+        trace = model.trace(batch, TOPO)
+        for config in FOLD_CONFIGS:
+            for mask in masks:
+                assert (run_inference_once(trace, mask, config)
+                        == simulate_inference_once(trace, mask, config)), (
+                    batch, mask.count(), config)
 
 
 def test_min_cus_monotone_tolerance():

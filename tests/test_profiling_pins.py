@@ -3,16 +3,17 @@
 The offline profiling products every serving cell reads — the model
 right-size, the isolated pass latency, the SLO target, the isolated
 baseline cell and the full right-size sweep — are computed in each
-test from an empty on-disk store and empty in-process memos, so a warm
-``rightsize.json`` or result entry cannot satisfy a pin without
-profiling anything.  The pins hold in both recompute modes
-(``REPRO_FULL_RECOMPUTE``) and under any ``PYTHONHASHSEED``.
+test from an empty result store and empty in-process memos, so a warm
+result entry cannot satisfy a pin without profiling anything.  The pins
+hold in both recompute modes (``REPRO_FULL_RECOMPUTE``) and under any
+``PYTHONHASHSEED``.
 """
 
 import hashlib
 
 import pytest
 
+from repro.check.profiling import PROFILING_CASES
 from repro.exp.cache import result_hash
 from repro.models.zoo import get_model
 from repro.profiling.model_profiler import profile_model
@@ -63,7 +64,6 @@ def test_cold_profiling_products_are_pinned(cold_store, model, batch):
     right_size, pass_latency, slo, baseline_hash, sweep_hash = \
         PINS[(model, batch)]
     assert model_right_size(model, batch) == right_size
-    assert (cold_store / "rightsize.json").exists()
     assert _isolated_pass_latency(model, batch) == pass_latency
     assert slo_target(model, batch) == slo
     assert result_hash(isolated_baseline(model, batch)) == baseline_hash
@@ -72,3 +72,7 @@ def test_cold_profiling_products_are_pinned(cold_store, model, batch):
     assert sweep.right_size == right_size
     digest = hashlib.sha256(repr(sweep.latencies).encode()).hexdigest()
     assert digest == sweep_hash
+
+
+def test_profiling_oracle_covers_every_pinned_case():
+    assert sorted(PROFILING_CASES) == sorted(PINS)
