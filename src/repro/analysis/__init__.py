@@ -2,7 +2,8 @@
 
 :mod:`~repro.analysis.tables` renders experiment results as aligned text
 tables (the form every benchmark prints); :mod:`~repro.analysis.series`
-renders sweep curves as compact ASCII series for figure-shaped results.
+renders sweep curves as compact ASCII series for figure-shaped results;
+:mod:`~repro.analysis.digest` is the content hash of every result.
 """
 
 from repro.analysis.series import ascii_curve, format_series

@@ -161,9 +161,8 @@ def check_pool_modes(name: str) -> tuple[list[str], dict[str, Any]]:
     faults = _faults(scenario, scenario.config)
     hashes: dict[int, dict[int, str]] = {}
     for jobs in (1, 2):
-        report = run_sweep(cells, jobs=jobs, cache=False,
-                           options=RunOptions(faults=faults,
-                                              guard=scenario.guard))
+        report = run_sweep(cells, options=RunOptions(
+            faults=faults, guard=scenario.guard), jobs=jobs, store=None)
         report.raise_failures()
         hashes[jobs] = {index: result_hash(report.result(cell))
                         for index, cell in enumerate(cells)}
@@ -188,12 +187,9 @@ def check_cache_replay(name: str, allocation: str = "krisp",
     root = Path(tempfile.mkdtemp(prefix="repro-check-cache-"))
     try:
         store = ContentStore(root=root)
-        fresh = cached_run_experiment(
-            config, cache=store, faults=faults,
-            guard=scenario.guard)
-        cached = cached_run_experiment(
-            config, cache=store, faults=faults,
-            guard=scenario.guard)
+        options = RunOptions(faults=faults, guard=scenario.guard)
+        fresh = cached_run_experiment(config, options, store)
+        cached = cached_run_experiment(config, options, store)
         violations = []
         fresh_hash, cached_hash = result_hash(fresh), result_hash(cached)
         if fresh_hash != cached_hash:

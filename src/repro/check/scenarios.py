@@ -99,11 +99,14 @@ class Scenario:
 
 
 def _cell(config: ExperimentConfig, faults=None, guard=None) -> ScenarioRun:
-    stats: dict = {}
-    result = run_experiment(
-        config, RunOptions(faults=faults, guard=guard), stats_out=stats)
-    return ScenarioRun(result_hash=result_hash(result),
-                       events=stats["events_executed"])
+    events = []
+
+    def count_events(setup, _injector) -> None:
+        events.append(setup.sim.events_executed)
+
+    result = run_experiment(config, RunOptions(faults=faults, guard=guard,
+                                               audit=count_events))
+    return ScenarioRun(result_hash=result_hash(result), events=events[0])
 
 
 def _run_colo4() -> ScenarioRun:

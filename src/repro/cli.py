@@ -96,6 +96,13 @@ def _shared_parents() -> dict[str, argparse.ArgumentParser]:
             "duration": duration}
 
 
+def _grid_store(args: argparse.Namespace):
+    """The result store of a grid command: none under ``--no-cache``."""
+    from repro.exp.cache import default_cache
+
+    return None if args.no_cache else default_cache()
+
+
 def _grid_progress(done: int, total: int, outcome) -> None:
     """The one stderr progress line of every grid command (``sweep``,
     ``load``, ``chaos``, ``fleet``), fed by the cell executor."""
@@ -317,7 +324,6 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 
 def _cmd_load(args: argparse.Namespace) -> int:
     from repro.exp.load import run_load_curve
-    from repro.exp.sweep import default_jobs
     from repro.workload import load_workload
 
     spec = load_workload(args.spec)
@@ -330,14 +336,12 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
     guard = _slo_guard(args.deadline, args.admission)
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
     report = run_load_curve(
         config, spec,
         rates=tuple(args.rates) if args.rates else None,
-        scales=tuple(args.scales),
-        duration=args.duration, options=RunOptions(guard=guard), jobs=jobs,
-        use_cache=not args.no_cache, progress=_grid_progress,
-        attribute=args.attribute)
+        scales=tuple(args.scales), duration=args.duration,
+        attribute=args.attribute, options=RunOptions(guard=guard),
+        jobs=args.jobs, store=_grid_store(args), progress=_grid_progress)
     print(file=sys.stderr)
 
     print(report.to_text())
@@ -392,15 +396,14 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.exp.sweep import Sweep, default_jobs, run_sweep
+    from repro.exp.sweep import Sweep, run_sweep
 
     models = tuple(args.models) if args.models else tuple(MODEL_NAMES)
     sweep = Sweep().add_grid(
         models, tuple(args.policies), tuple(args.workers),
         batch_size=args.batch)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    report = run_sweep(sweep, jobs=jobs, cache=not args.no_cache,
-                       retries=args.retries, progress=_grid_progress)
+    report = run_sweep(sweep, retries=args.retries, jobs=args.jobs,
+                       store=_grid_store(args), progress=_grid_progress)
     print(file=sys.stderr)
 
     rows = []
@@ -455,20 +458,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.exp.chaos import CHAOS_SCENARIOS, build_scenario, run_chaos
-    from repro.exp.sweep import default_jobs
 
-    names = _cell_names(args.models, args.workers)
     scenarios = tuple(args.scenarios) if args.scenarios \
         else CHAOS_SCENARIOS
-
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    report = run_chaos(
-        names, tuple(args.policies), scenarios,
-        batch_size=args.batch, seed=args.seed,
-        requests_scale=args.scale, emulated=args.emulated,
-        use_cache=not args.no_cache, jobs=jobs, progress=_grid_progress,
-        allocation=args.allocation, sizing=args.sizing,
-    )
+    # The first policy's config is the grid's base and the traced cell.
+    config = ExperimentConfig(
+        model_names=_cell_names(args.models, args.workers),
+        policy=args.policies[0], batch_size=args.batch, seed=args.seed,
+        emulated=args.emulated, requests_scale=args.scale,
+        allocation=args.allocation, sizing=args.sizing)
+    report = run_chaos(config, tuple(args.policies), scenarios,
+                       jobs=args.jobs, store=_grid_store(args),
+                       progress=_grid_progress)
     print(file=sys.stderr)
     print(report.to_text())
     guard = report.guard
@@ -483,21 +484,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.trace_out:
         from repro.obs.tracer import Tracer
 
-        policy = args.policies[0]
         scenario = scenarios[-1]
-        config = ExperimentConfig(
-            model_names=names, policy=policy, batch_size=args.batch,
-            seed=args.seed, emulated=args.emulated,
-            requests_scale=args.scale,
-            allocation=args.allocation, sizing=args.sizing)
         tracer = Tracer()
         run_experiment(config, options=RunOptions(
             tracer=tracer, faults=build_scenario(scenario, config),
             guard=report.guard))
         events = tracer.write_chrome_trace(args.trace_out)
-        print(f"wrote {events} trace events for {policy}/{scenario} to "
-              f"{args.trace_out} ({tracer.faults_traced} faults, "
-              f"{tracer.requests_shed} shed)")
+        print(f"wrote {events} trace events for {config.policy}/"
+              f"{scenario} to {args.trace_out} ({tracer.faults_traced} "
+              f"faults, {tracer.requests_shed} shed)")
     return 0
 
 
@@ -604,14 +599,15 @@ def _cmd_alloc(args: argparse.Namespace) -> int:
 
     # Phase 2: one serving cell per allocation policy (same workload,
     # same sizing), hashed so grids are comparable bit-for-bit.
+    configs = {allocation: ExperimentConfig(
+        model_names=names, policy=args.policy, batch_size=args.batch,
+        seed=args.seed, requests_scale=args.scale,
+        allocation=allocation, sizing=args.sizing)
+        for allocation in allocations}
     cell_rows = []
     print(f"\n-- serving cells ({'+'.join(dict.fromkeys(names))}, "
           f"{len(names)} workers, {args.policy}, sizing {args.sizing}) --")
-    for allocation in allocations:
-        config = ExperimentConfig(
-            model_names=names, policy=args.policy, batch_size=args.batch,
-            seed=args.seed, requests_scale=args.scale,
-            allocation=allocation, sizing=args.sizing)
+    for allocation, config in configs.items():
         result = run_experiment(config)
         cell_hash = result_hash(result)
         print(f"{allocation:<18} rps {result.total_rps:>9.2f}  "
@@ -632,12 +628,7 @@ def _cmd_alloc(args: argparse.Namespace) -> int:
         from repro.exp.chaos import build_scenario, default_guard
 
         print("\n-- mixed-chaos cells (guarded) --")
-        for allocation in allocations:
-            config = ExperimentConfig(
-                model_names=names, policy=args.policy,
-                batch_size=args.batch, seed=args.seed,
-                requests_scale=args.scale,
-                allocation=allocation, sizing=args.sizing)
+        for allocation, config in configs.items():
             result = run_experiment(config, RunOptions(
                 faults=build_scenario("mixed", config),
                 guard=default_guard(config)))
@@ -684,7 +675,6 @@ def _cmd_alloc(args: argparse.Namespace) -> int:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.cluster import AutoscalerConfig, ClusterConfig, run_fleet
-    from repro.exp.sweep import default_jobs
     from repro.workload import load_workload
 
     spec = load_workload(args.spec)
@@ -707,16 +697,20 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.rates:
         scales = tuple(rate / native for rate in args.rates)
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    report = run_fleet(
-        base, spec,
-        devices=tuple(args.devices),
-        routers=tuple(args.routers) if args.routers else None,
-        scales=scales,
-        duration=args.duration,
-        autoscaler=None if args.no_autoscaler else AutoscalerConfig(),
-        faults=faults, guard=guard,
-        jobs=jobs, use_cache=not args.no_cache, progress=_grid_progress)
+    try:
+        report = run_fleet(
+            base, spec,
+            devices=tuple(args.devices),
+            routers=tuple(args.routers) if args.routers else None,
+            scales=scales,
+            duration=args.duration,
+            autoscaler=None if args.no_autoscaler else AutoscalerConfig(),
+            options=RunOptions(faults=faults, guard=guard),
+            jobs=args.jobs, store=_grid_store(args),
+            progress=_grid_progress)
+    except ValueError as exc:
+        print(f"fleet: {exc}", file=sys.stderr)
+        return 2
     print(file=sys.stderr)
 
     print(report.to_text())

@@ -13,11 +13,9 @@ autoscaler event log, and a request-conservation audit
 (``issued == completed + shed + residue + in flight + in transit`` —
 the fleet generalisation of :mod:`repro.check.invariants`).
 
-It is an *options-first* API: harness knobs arrive in one
-:class:`~repro.server.options.RunOptions` (there are no legacy keyword
-shims to deprecate — the fleet surface was born after the
-consolidation).  A :class:`ClusterCell` is one fleet run as a grid
-cell, cached content-addressed under ``<cache>/cluster/`` via
+Harness knobs arrive in one :class:`~repro.server.options.RunOptions`.
+A :class:`ClusterCell` is one fleet run as a grid cell, cached
+content-addressed under ``<cache>/cluster/`` via
 :func:`cluster_cache_key`, which folds the cluster topology and
 autoscaler config into the open-loop key
 :func:`~repro.exp.cache.rate_cache_key` **only-when-given** — so every
@@ -27,12 +25,11 @@ pre-existing single-device cache entry is untouched by the fleet layer.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import logging
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.analysis.digest import canonical_digest
 from repro.cluster.autoscaler import PoolAutoscaler, ScaleEvent
 from repro.cluster.config import AutoscalerConfig, ClusterConfig
 from repro.cluster.faults import ClusterFaultDriver
@@ -160,9 +157,7 @@ class ClusterResult:
 def cluster_result_hash(result: ClusterResult) -> str:
     """Content hash of one result's canonical JSON payload (floats
     survive bit-exactly, so two runs hash equally iff bit-identical)."""
-    canonical = json.dumps(result.to_dict(), sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(result.to_dict())
 
 
 def run_cluster_experiment(
@@ -182,8 +177,8 @@ def run_cluster_experiment(
     :class:`~repro.faults.schedule.NodeCrash` events; ``options.guard``
     bounds admission/deadline/retries exactly as on a single device.
     """
-    opts = options if options is not None else RunOptions()
-    reject_unsupported("run_cluster_experiment", opts, "workload", "audit")
+    opts = reject_unsupported("run_cluster_experiment", options,
+                              "workload", "audit")
     if duration is None:
         duration = DEFAULT_FLEET_DURATION
     spec = workload if offered_rps is None else workload.at_rate(offered_rps)

@@ -3,8 +3,9 @@
 :class:`ClusterFaultDriver` is the fleet analogue of
 :class:`~repro.faults.injector.FaultInjector`, specialised to
 :class:`~repro.faults.schedule.NodeCrash` events (the only kind that
-makes sense fleet-wide; schedules carrying any other kind are rejected
-up front rather than silently half-applied).
+makes sense fleet-wide; schedules carrying any other kind, or crashing
+a node the fleet does not have, are rejected up front rather than
+silently half-applied or wrapped onto another node).
 
 A node crash kills every worker on the device at once and *re-routes*
 the displaced work — both in-flight orphans and requests still queued on
@@ -21,15 +22,30 @@ selects it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.cluster.router import ClusterRouter
 from repro.cluster.setup import ClusterNode, ClusterSetup
 from repro.faults.schedule import FaultSchedule, NodeCrash, event_kind
 from repro.server.request import InferenceRequest
 from repro.server.slo import SloGuard
 
-__all__ = ["ClusterFaultDriver"]
+__all__ = ["ClusterFaultDriver", "check_fleet_faults"]
+
+
+def check_fleet_faults(schedule: FaultSchedule, devices: int) -> None:
+    """Raise ``ValueError`` unless ``schedule`` holds only
+    :class:`NodeCrash` events naming nodes of a ``devices``-node fleet."""
+    bad = sorted({event_kind(e) for e in schedule.events
+                  if not isinstance(e, NodeCrash)})
+    if bad:
+        raise ValueError(
+            f"fleet runs only support node_crash fault events; "
+            f"schedule also carries {bad}")
+    outside = sorted({e.node for e in schedule.events
+                      if e.node >= devices})
+    if outside:
+        raise ValueError(
+            f"node_crash names node(s) {outside} outside a {devices}-device "
+            f"fleet (nodes 0..{devices - 1})")
 
 
 class ClusterFaultDriver:
@@ -37,12 +53,7 @@ class ClusterFaultDriver:
 
     def __init__(self, cluster: ClusterSetup, router: ClusterRouter,
                  schedule: FaultSchedule, metrics=None) -> None:
-        bad = sorted({event_kind(e) for e in schedule.events
-                      if not isinstance(e, NodeCrash)})
-        if bad:
-            raise ValueError(
-                f"fleet runs only support node_crash fault events; "
-                f"schedule also carries {bad}")
+        check_fleet_faults(schedule, len(cluster.nodes))
         self.cluster = cluster
         self.router = router
         self.schedule = schedule
@@ -61,8 +72,7 @@ class ClusterFaultDriver:
 
     # -- crash ---------------------------------------------------------------
     def _crash(self, event: NodeCrash) -> None:
-        nodes = self.cluster.nodes
-        node = nodes[event.node % len(nodes)]
+        node = self.cluster.nodes[event.node]
         if node.crashed:
             return
         node.crashed = True

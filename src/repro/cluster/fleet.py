@@ -23,8 +23,10 @@ from repro.cluster.experiment import (
     ClusterCell,
     ClusterResult,
 )
+from repro.cluster.faults import check_fleet_faults
 from repro.exp.cache import ContentStore, default_cache
 from repro.exp.cells import ProgressFn, results_or_raise, run_cells
+from repro.server.options import RunOptions, reject_unsupported
 from repro.workload.spec import WorkloadSpec
 
 __all__ = ["DEFAULT_FLEET_SCALES", "FleetCell", "FleetReport", "run_fleet"]
@@ -164,23 +166,27 @@ def run_fleet(
     scales: tuple[float, ...] = DEFAULT_FLEET_SCALES,
     duration: Optional[float] = None,
     autoscaler: Optional[AutoscalerConfig] = AutoscalerConfig(),
-    faults=None,
-    guard=None,
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache: Optional[ContentStore] = None,
+    options: Optional[RunOptions] = None,
+    jobs: Optional[int] = None,
+    store: Optional[ContentStore] = default_cache(),
     progress: Optional[ProgressFn] = None,
 ) -> FleetReport:
     """Sweep the fleet grid; deterministic across ``jobs`` settings.
 
     ``routers=None`` runs only the base config's policy; pass a tuple
     to compare policies.  Rates are ``scales`` multiples of the spec's
-    native offered rate.  ``faults`` (NodeCrash-only) and ``guard``
-    apply to every cell.  Grid order (devices-major, router, then rate)
-    is the report's cell order regardless of pool scheduling.  Store
-    reads and writes happen in this process, so ``cache`` sees every
-    cell whatever ``jobs`` is; a failed cell raises ``RuntimeError``.
+    native offered rate.  ``options.faults`` (node crashes only, of
+    nodes every size in ``devices`` has; checked before any cell runs)
+    and ``options.guard`` apply to every cell; observers are rejected.  The tail is
+    every grid runner's (:mod:`repro.exp.cells`).  Grid order
+    (devices-major, router, then rate) is the report's cell order
+    regardless of pool scheduling; a failed cell raises ``RuntimeError``.
     """
+    opts = reject_unsupported("run_fleet", options, "tracer", "recorder",
+                              "metrics", "audit", "workload")
+    if opts.faults is not None:
+        for count in devices:
+            check_fleet_faults(opts.faults, count)
     if duration is None:
         duration = DEFAULT_FLEET_DURATION
     policies = routers if routers is not None else (base.router,)
@@ -190,10 +196,9 @@ def run_fleet(
     base_payload = base.to_dict()
     cells = [ClusterCell(
         ClusterConfig.from_dict({**base_payload, "devices": d, "router": p}),
-        workload.at_rate(rate), duration, autoscaler, faults, guard)
+        workload.at_rate(rate), duration, autoscaler, opts.faults,
+        opts.guard)
         for d, p, rate in grid]
-    store = (cache if cache is not None else default_cache()) \
-        if use_cache else None
     outcomes = run_cells(cells, jobs, store, progress=progress)
     results = results_or_raise(outcomes)
     return FleetReport(

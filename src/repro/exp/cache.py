@@ -31,7 +31,6 @@ clear it.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import logging
 import os
@@ -41,6 +40,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 import repro
+from repro.analysis.digest import canonical_digest
 from repro.gpu.exec_model import ExecutionModelConfig
 from repro.gpu.topology import GpuTopology
 from repro.server.experiment import (
@@ -211,17 +211,13 @@ def config_from_dict(payload: dict[str, Any]) -> ExperimentConfig:
 def cache_key(config: ExperimentConfig,
               constants: Optional[dict[str, Any]] = None,
               faults=None,
-              guard: Optional[SloGuard] = None,
-              cluster: Optional[dict[str, Any]] = None) -> str:
+              guard: Optional[SloGuard] = None) -> str:
     """Stable content hash of (config, code constants, repro version).
 
-    ``faults`` (a :class:`~repro.faults.FaultSchedule`), ``guard``
-    (a :class:`~repro.server.slo.SloGuard`), and ``cluster`` (a
-    JSON-native fleet-topology payload, see :func:`~repro.cluster
-    .experiment.cluster_cache_key`) are folded in **only when given**,
-    so every pre-existing single-device fault-free key — and every
-    cached result under it — is untouched by the fault and fleet
-    layers.
+    ``faults`` (a :class:`~repro.faults.FaultSchedule`) and ``guard``
+    (a :class:`~repro.server.slo.SloGuard`) are folded in **only when
+    given**, so every pre-existing fault-free key — and every cached
+    result under it — is untouched by the fault layer.
     """
     payload = {
         "config": config_to_dict(config),
@@ -231,10 +227,7 @@ def cache_key(config: ExperimentConfig,
         payload["faults"] = faults.to_dict()
     if guard is not None:
         payload["guard"] = guard.to_dict()
-    if cluster is not None:
-        payload["cluster"] = cluster
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return canonical_digest(payload)
 
 
 # -- result (de)serialisation ------------------------------------------------
@@ -278,9 +271,7 @@ def result_hash(result: ExperimentResult) -> str:
     identity the incremental rate-recompute path is held to (and what
     ``krisp-repro check`` compares against each scenario's pin).
     """
-    canonical = json.dumps(
-        result_to_dict(result), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(result_to_dict(result))
 
 
 def result_from_dict(payload: dict[str, Any]) -> ExperimentResult:
@@ -422,8 +413,7 @@ def rate_cache_key(config: ExperimentConfig, offered_rps: float,
         payload["guard"] = guard.to_dict()
     if cluster is not None:
         payload["cluster"] = cluster
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return canonical_digest(payload)
 
 
 def rate_result_to_dict(result) -> dict[str, Any]:
@@ -456,9 +446,7 @@ def rate_result_from_dict(payload: dict[str, Any]):
 
 def rate_result_hash(result) -> str:
     """Content hash of one rate result's canonical JSON payload."""
-    canonical = json.dumps(
-        rate_result_to_dict(result), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(rate_result_to_dict(result))
 
 
 _DEFAULT_STORE = ContentStore()

@@ -17,14 +17,19 @@ does everything else, once, for all four grids:
 * one :class:`CellOutcome` per cell, in input order, also streamed to
   ``progress(done, total, outcome)`` as each cell resolves.
 
-Each grid runner keeps its own failure contract: :func:`~repro.exp
-.sweep.run_sweep` reports failed cells, the others raise.  Determinism holds
-by construction: a cell's result is a pure function of its fields, so
+Every grid runner (``run_sweep``, ``run_load_curve``, ``run_chaos``,
+``run_fleet``) ends in the keyword tail ``options`` (one
+:class:`~repro.server.options.RunOptions`), ``jobs`` (``None`` is
+:func:`default_jobs`), ``store`` (:func:`~repro.exp.cache.default_cache`
+by default; ``None`` bypasses it) and ``progress``.  ``run_sweep``
+reports failed cells, the others raise.  Determinism holds by
+construction: a cell's result is a pure function of its fields, so
 serial, pooled and cache-served runs are bit-identical.
 """
 
 from __future__ import annotations
 
+import os
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -47,7 +52,7 @@ from repro.server.experiment import (
     ExperimentResult,
     run_experiment,
 )
-from repro.server.options import RunOptions
+from repro.server.options import RunOptions, reject_unsupported
 from repro.server.slo import SloGuard
 
 __all__ = [
@@ -56,6 +61,7 @@ __all__ = [
     "ExperimentCell",
     "RateCell",
     "cached_run_experiment",
+    "default_jobs",
     "results_or_raise",
     "run_cells",
 ]
@@ -121,15 +127,34 @@ def _execute(cell: Cell) -> tuple[Any, float, Optional[str], Optional[str]]:
     return result, time.perf_counter() - start, None, None
 
 
-def run_cells(cells: Iterable[Cell], jobs: int = 1,
+def default_jobs() -> int:
+    """Worker count: ``REPRO_JOBS`` or ``os.cpu_count() - 1`` (min 1).
+    A ``REPRO_JOBS`` that is not an integer >= 1 raises, as ``--jobs``
+    and ``run_cells(jobs=0)`` do."""
+    env = os.environ.get("REPRO_JOBS")
+    if not env:
+        return max(1, (os.cpu_count() or 2) - 1)
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"REPRO_JOBS={env!r} is not an integer >= 1")
+    return jobs
+
+
+def run_cells(cells: Iterable[Cell], jobs: Optional[int] = 1,
               store: Optional[ContentStore] = None, retries: int = 0,
               progress: Optional[ProgressFn] = None) -> list[CellOutcome]:
     """Resolve every cell: store hit, or run (retrying failures).
 
-    ``store=None`` bypasses the store (no reads, no writes).  Never
-    raises for a cell; the outcomes say which cells failed.
+    ``jobs=None`` is :func:`default_jobs`.  ``store=None`` bypasses the
+    store (no reads, no writes).  Never raises for a cell; the outcomes
+    say which cells failed.
     """
     cells = list(cells)
+    if jobs is None:
+        jobs = default_jobs()
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if retries < 0:
@@ -299,17 +324,20 @@ class RateCell:
 
 def cached_run_experiment(
     config: ExperimentConfig,
-    cache: Optional[ContentStore] = None,
-    faults=None,
-    guard: Optional[SloGuard] = None,
+    options: Optional[RunOptions] = None,
+    store: Optional[ContentStore] = default_cache(),
 ) -> ExperimentResult:
     """:func:`~repro.server.experiment.run_experiment` of one cell through
-    the store (``cache=None`` uses :func:`~repro.exp.cache.default_cache`),
-    in-process, so a failing run raises its own exception."""
-    store = cache if cache is not None else default_cache()
-    cell = ExperimentCell(config, faults, guard)
-    result = store.get(cell)
+    ``store`` (``None`` bypasses it), in-process, so a failing run raises
+    its own exception.  ``options`` carries the keyed ``faults`` and
+    ``guard``; observers and audits are rejected, since a cache hit would
+    never call them."""
+    opts = reject_unsupported("cached_run_experiment", options, "tracer",
+                              "recorder", "metrics", "audit", "workload")
+    cell = ExperimentCell(config, opts.faults, opts.guard)
+    result = store.get(cell) if store is not None else None
     if result is None:
         result = cell.run()
-        store.put(cell, result)
+        if store is not None:
+            store.put(cell, result)
     return result

@@ -15,7 +15,7 @@ pooled, or cache-served — are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro.exp.cache import ContentStore, default_cache
@@ -39,6 +39,7 @@ from repro.server.experiment import (
     measurement_window,
     slo_target,
 )
+from repro.server.options import RunOptions, reject_unsupported
 from repro.server.slo import SloGuard
 
 __all__ = [
@@ -139,8 +140,8 @@ class ChaosCell:
 class ChaosReport:
     """Outcome of one resilience grid."""
 
-    model_names: tuple[str, ...]
-    batch_size: int
+    #: The base config (its ``policy`` is replaced per cell).
+    config: ExperimentConfig
     guard: SloGuard
     cells: tuple[ChaosCell, ...]
 
@@ -189,46 +190,30 @@ class ChaosReport:
 
 
 def run_chaos(
-    model_names: Sequence[str],
+    config: ExperimentConfig,
     policies: Sequence[str],
     scenarios: Sequence[str] = CHAOS_SCENARIOS,
     *,
-    batch_size: int = 32,
-    seed: int = 0,
-    requests_scale: float = 1.0,
-    emulated: bool = False,
-    guard: Optional[SloGuard] = None,
-    cache: Optional[ContentStore] = None,
-    use_cache: bool = True,
-    jobs: int = 1,
+    options: Optional[RunOptions] = None,
+    jobs: Optional[int] = None,
+    store: Optional[ContentStore] = default_cache(),
     progress: Optional[ProgressFn] = None,
-    allocation: str = "krisp",
-    sizing: str = "static",
 ) -> ChaosReport:
-    """Run the policy × scenario resilience grid.
+    """Run the policy × scenario resilience grid over ``config``.
 
-    Every cell (including each policy's fault-free baseline) runs with
-    the same :class:`SloGuard`, so deltas isolate the *faults*, not the
-    guard rails.  Results route through the content-addressed store.
-    ``jobs > 1`` fans the independent cells out over a process pool;
-    results are bit-identical to serial execution.  A failed cell
-    raises ``RuntimeError``.  ``allocation`` and ``sizing`` select the
-    mask-allocation / right-sizing policies for the KRISP cells
-    (:class:`~repro.core.krisp.KrispConfig`).
+    A policy's cells are ``replace(config, policy=policy)``.  Every cell
+    (including each policy's fault-free baseline) runs with the same
+    :class:`SloGuard` — ``options.guard``, else :func:`default_guard` —
+    so deltas isolate the *faults*, not the guard rails.
+    ``options.faults`` is rejected (each scenario builds its own
+    schedule), as are the observers and audits a pooled grid cannot
+    carry.  The tail is every grid runner's (:mod:`repro.exp.cells`); a
+    failed cell raises ``RuntimeError``.
     """
-    configs = {
-        policy: ExperimentConfig(
-            model_names=tuple(model_names), policy=policy,
-            batch_size=batch_size, seed=seed, emulated=emulated,
-            requests_scale=requests_scale,
-            allocation=allocation, sizing=sizing,
-        )
-        for policy in policies
-    }
-    the_guard = guard if guard is not None \
-        else default_guard(next(iter(configs.values())))
-    store = (cache if cache is not None else default_cache()) \
-        if use_cache else None
+    opts = reject_unsupported("run_chaos", options, "tracer", "recorder",
+                              "metrics", "audit", "workload", "faults")
+    configs = {policy: replace(config, policy=policy) for policy in policies}
+    guard = opts.guard if opts.guard is not None else default_guard(config)
 
     # Each policy's fault-free baseline (scenario None) runs first.
     grid = [(policy, scenario)
@@ -237,15 +222,14 @@ def run_chaos(
     cells = [ExperimentCell(
         configs[policy],
         build_scenario(scenario, configs[policy]) if scenario else None,
-        the_guard, tag=f"{policy}/{scenario or 'baseline'}")
+        guard, tag=f"{policy}/{scenario or 'baseline'}")
         for policy, scenario in grid]
     results = dict(zip(grid, results_or_raise(
         run_cells(cells, jobs, store, progress=progress))))
 
     return ChaosReport(
-        model_names=tuple(model_names),
-        batch_size=batch_size,
-        guard=the_guard,
+        config=config,
+        guard=guard,
         cells=tuple(
             ChaosCell(policy=policy, scenario=scenario,
                       result=results[(policy, scenario)],

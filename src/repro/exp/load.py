@@ -206,12 +206,11 @@ def run_load_curve(
     rates: Optional[tuple[float, ...]] = None,
     scales: tuple[float, ...] = DEFAULT_SCALES,
     duration: Optional[float] = None,
-    options: Optional[RunOptions] = None,
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache: Optional[ContentStore] = None,
-    progress: Optional[ProgressFn] = None,
     attribute: bool = False,
+    options: Optional[RunOptions] = None,
+    jobs: Optional[int] = None,
+    store: Optional[ContentStore] = default_cache(),
+    progress: Optional[ProgressFn] = None,
 ) -> LoadCurveReport:
     """Sweep ``workload`` across offered rates into a load curve.
 
@@ -220,9 +219,9 @@ def run_load_curve(
     ``scales``.  Each point rescales the spec with ``at_rate`` and runs
     for the same ``duration`` (default
     :func:`~repro.server.rate_experiment.default_rate_duration`), so
-    points differ only in offered load.  ``jobs > 1`` fans cache misses
-    out over a process pool; results are bit-identical to serial.  A
-    failed point raises ``RuntimeError``.
+    points differ only in offered load.  The tail is every grid
+    runner's (:mod:`repro.exp.cells`); a failed point raises
+    ``RuntimeError``.
 
     ``attribute=True`` attaches a latency-attribution summary
     (:func:`repro.obs.attribution.summarize`) to every point, labelling
@@ -232,15 +231,13 @@ def run_load_curve(
     bypassed (results are still written back, and are bit-identical —
     recording is pure observation).
 
-    Harness options arrive via ``options=``
-    (:class:`~repro.server.options.RunOptions`).  The workload is this
-    function's positional argument, so ``options.workload`` — like the
-    fields a pooled curve cannot honour (``tracer``, ``recorder``,
-    ``metrics``, ``audit``) — is rejected.
+    ``options.faults`` and ``options.guard`` apply to every point.  The
+    workload is this function's positional argument, so
+    ``options.workload`` — like the fields a pooled curve cannot honour
+    (``tracer``, ``recorder``, ``metrics``, ``audit``) — is rejected.
     """
-    opts = options if options is not None else RunOptions()
-    reject_unsupported("run_load_curve", opts, "tracer", "recorder",
-                       "metrics", "audit", "workload")
+    opts = reject_unsupported("run_load_curve", options, "tracer", "recorder",
+                              "metrics", "audit", "workload")
     if rates is None:
         base = workload.offered_rps()
         rates = tuple(base * scale for scale in scales)
@@ -254,8 +251,6 @@ def run_load_curve(
     cells = [cell_type(config, rate, duration, workload.at_rate(rate),
                        opts.faults, opts.guard)
              for rate in rates]
-    store = (cache if cache is not None else default_cache()) \
-        if use_cache else None
     outcomes = run_cells(cells, jobs, None if attribute else store,
                          progress=progress)
     points = []

@@ -4,15 +4,10 @@ Every evaluation grid of the paper is a set of independent
 :class:`~repro.server.experiment.ExperimentConfig` cells, so the sweep
 layer is deliberately simple: :class:`Sweep` builds a deduplicated cell
 list (cartesian grids, mixed-model pairs, or explicit cells) and
-:func:`run_sweep` executes it —
-
-through the shared cell executor (:func:`~repro.exp.cells.run_cells`),
-which consults the content-addressed :mod:`result store
-<repro.exp.cache>` first (a warm re-run computes nothing), fans the
-misses out over a process pool sized by ``REPRO_JOBS`` (default
-``os.cpu_count() - 1``), and retries failed cells, capturing their
-tracebacks, so one bad cell degrades the grid gracefully instead of
-killing it.
+:func:`run_sweep` executes it through the shared cell executor
+(:func:`~repro.exp.cells.run_cells`): store hits first, misses over a
+process pool, failed cells retried and reported, so one bad cell
+degrades the grid gracefully instead of killing it.
 
 The returned :class:`SweepReport` carries every result keyed by its
 config plus run/cached/failed accounting, wall time, and the aggregate
@@ -27,13 +22,18 @@ the pool path, and a cache hit all yield bit-identical results —
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from repro.exp.cache import ContentStore, default_cache
-from repro.exp.cells import CellOutcome, ExperimentCell, ProgressFn, run_cells
+from repro.exp.cells import (
+    CellOutcome,
+    ExperimentCell,
+    ProgressFn,
+    default_jobs,
+    run_cells,
+)
 from repro.server.experiment import ExperimentConfig, ExperimentResult
 from repro.server.options import RunOptions, reject_unsupported
 
@@ -44,17 +44,6 @@ __all__ = [
     "default_jobs",
     "run_sweep",
 ]
-
-
-def default_jobs() -> int:
-    """Worker count: ``REPRO_JOBS`` or ``os.cpu_count() - 1`` (min 1)."""
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"REPRO_JOBS={env!r} is not an integer") from None
-    return max(1, (os.cpu_count() or 2) - 1)
 
 
 class Sweep:
@@ -187,30 +176,28 @@ class SweepReport:
 
 def run_sweep(
     sweep: Union[Sweep, Iterable[ExperimentConfig]],
-    jobs: Optional[int] = None,
-    cache: bool = True,
-    cache_store: Optional[ContentStore] = None,
+    *,
     retries: int = 1,
-    progress: Optional[ProgressFn] = None,
     options: Optional[RunOptions] = None,
+    jobs: Optional[int] = None,
+    store: Optional[ContentStore] = default_cache(),
+    progress: Optional[ProgressFn] = None,
 ) -> SweepReport:
     """Run every cell of ``sweep``; never raises for individual cells.
 
-    ``jobs=None`` reads ``REPRO_JOBS`` (default ``cpu_count - 1``);
-    ``jobs=1`` runs serially in-process.  ``cache=False`` bypasses the
+    The tail is every grid runner's (:mod:`repro.exp.cells`):
+    ``jobs=None`` reads ``REPRO_JOBS`` (default ``cpu_count - 1``) and
+    ``jobs=1`` runs serially in-process; ``store=None`` bypasses the
     result store entirely (no reads, no writes).  Each failing cell is
     retried ``retries`` more times before landing in ``report.failed``.
     ``progress(done, total, outcome)`` sees every
     :class:`~repro.exp.cells.CellOutcome` as it resolves.
 
-    Harness options arrive via ``options=``
-    (:class:`~repro.server.options.RunOptions`).  Fields a
-    process-pooled sweep cannot honour (``tracer``, ``recorder``,
-    ``audit``, ``workload``) are rejected.
-
+    Fields of ``options`` a process-pooled sweep cannot honour
+    (``tracer``, ``recorder``, ``audit``, ``workload``) are rejected.
     ``options.faults`` (a :class:`~repro.faults.FaultSchedule`) and
     ``options.guard`` (a :class:`~repro.server.slo.SloGuard`) apply to
-    **every** cell; the cache keys them separately from fault-free
+    **every** cell; the store keys them separately from fault-free
     cells, and schedules pickle cleanly across the process pool, so
     fault-injected sweeps are exactly as parallel and cacheable as
     fault-free ones.
@@ -221,14 +208,12 @@ def run_sweep(
     ``sweep_cell_seconds`` histogram — updated as cells resolve so a
     progress callback can read them mid-sweep.
     """
-    opts = options if options is not None else RunOptions()
-    reject_unsupported("run_sweep", opts, "tracer", "recorder", "audit",
-                       "workload")
+    opts = reject_unsupported("run_sweep", options, "tracer", "recorder",
+                              "audit", "workload")
     cells = sweep.cells if isinstance(sweep, Sweep) else Sweep(sweep).cells
+    # Resolved here rather than in run_cells because the report prints it.
     if jobs is None:
         jobs = default_jobs()
-    store = (cache_store if cache_store is not None else default_cache()) \
-        if cache else None
 
     metrics = opts.metrics
     if metrics is not None:

@@ -182,8 +182,6 @@ def measurement_window(config: ExperimentConfig) -> tuple[float, float]:
 def run_experiment(
     config: ExperimentConfig,
     options: Optional[RunOptions] = None,
-    *,
-    stats_out: Optional[dict] = None,
 ) -> ExperimentResult:
     """Run one co-location cell and return its measurements.
 
@@ -191,10 +189,6 @@ def run_experiment(
     guard, post-run audit — travel in a single frozen
     :class:`~repro.server.options.RunOptions` passed as ``options=``.
     ``RunOptions.workload`` is rejected: this runner is closed-loop.
-
-    ``stats_out`` (a plain dict) receives the engine's
-    ``events_executed`` count (reported by :mod:`repro.check.scenarios`);
-    the measurement payload itself stays byte-stable.
 
     ``options.audit`` (a callable taking ``(setup, injector)``) runs once
     after the run completes, with the live :class:`ServingSetup` and the
@@ -222,8 +216,7 @@ def run_experiment(
     """
     from repro.server.setup import ServingSetup
 
-    opts = options if options is not None else RunOptions()
-    reject_unsupported("run_experiment", opts, "workload")
+    opts = reject_unsupported("run_experiment", options, "workload")
     tracer, recorder, metrics = opts.tracer, opts.recorder, opts.metrics
     faults, guard, audit = opts.faults, opts.guard, opts.audit
 
@@ -259,8 +252,6 @@ def run_experiment(
     sim.schedule(end, lambda: snapshot("end"), priority=10)
     sim.run(until=end)
     snapshot("final")
-    if stats_out is not None:
-        stats_out["events_executed"] = sim.events_executed
     if audit is not None:
         audit(setup, injector)
 

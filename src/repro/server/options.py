@@ -4,16 +4,18 @@ Every runner grew the same observability and resilience keywords one PR
 at a time — ``tracer=``, ``recorder=``, ``metrics=``, ``faults=``,
 ``guard=``, ``audit=``, ``workload=`` — and a second device would have
 doubled the sprawl.  :class:`RunOptions` is the one frozen
-carrier for all of them: build it once, pass it to
-:func:`~repro.server.experiment.run_experiment`,
+carrier for all of them: build it once, pass it as ``options=`` to a
+single run (:func:`~repro.server.experiment.run_experiment`,
 :func:`~repro.server.rate_experiment.run_rate_experiment`,
-:func:`~repro.exp.sweep.run_sweep`,
-:func:`~repro.exp.load.run_load_curve` or
-:func:`~repro.cluster.experiment.run_cluster_experiment` as ``options=``.
+:func:`~repro.cluster.experiment.run_cluster_experiment`), to
+:func:`~repro.exp.cells.cached_run_experiment`, or to any grid runner
+(:func:`~repro.exp.sweep.run_sweep`, :func:`~repro.exp.load
+.run_load_curve`, :func:`~repro.exp.chaos.run_chaos`,
+:func:`~repro.cluster.fleet.run_fleet`).
 
 Each runner supports a subset of the fields (``run_experiment`` has no
-``workload``; ``run_sweep`` cannot carry a live ``tracer`` across a
-process pool) and rejects the rest via :func:`reject_unsupported` so a
+``workload``; a grid cannot carry a live ``tracer`` across a process
+pool) and rejects the rest via :func:`reject_unsupported` so a
 misdirected option fails loudly instead of being silently dropped.
 """
 
@@ -61,17 +63,21 @@ class RunOptions:
         return dataclasses.replace(self, **changes)
 
 
-def reject_unsupported(caller: str, options: RunOptions,
-                       *fields: str) -> None:
-    """Raise if ``options`` sets a field ``caller`` cannot honour.
+def reject_unsupported(caller: str, options: Optional[RunOptions],
+                       *fields: str) -> RunOptions:
+    """Raise if ``options`` sets a field ``caller`` cannot honour;
+    otherwise return it (``RunOptions()`` for ``None``).
 
     A silently-ignored tracer or workload would corrupt an analysis
     without a trace; unsupported fields are a hard error instead.
     """
     defaults = RunOptions()
+    if options is None:
+        return defaults
     offending = [name for name in fields
                  if getattr(options, name) != getattr(defaults, name)]
     if offending:
         raise ValueError(
             f"{caller}() does not support RunOptions field(s) "
             f"{', '.join(sorted(offending))}")
+    return options

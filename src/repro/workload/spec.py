@@ -25,12 +25,12 @@ tolerate unknown keys exactly like :meth:`SloGuard.from_dict`.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
+from repro.analysis.digest import canonical_digest
 from repro.server.slo import _known_fields
 from repro.workload.arrivals import (
     ArrivalProcess,
@@ -347,9 +347,7 @@ def check_deployment(spec: WorkloadSpec, model_names: Sequence[str],
 
 def spec_hash(spec: WorkloadSpec) -> str:
     """Stable content hash of one spec's canonical JSON form."""
-    canon = json.dumps(spec.to_dict(), sort_keys=True,
-                       separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return canonical_digest(spec.to_dict())
 
 
 def _yaml():

@@ -94,3 +94,15 @@ def test_fleet_command_crash_node(tmp_path, monkeypatch, capsys):
     row = payload["rows"][0]
     assert row["crashes"] >= 1 and row["restarts"] >= 1
     assert row["conservation_ok"]
+
+
+def test_fleet_command_rejects_a_crash_node_outside_the_fleet(
+        tmp_path, monkeypatch, capsys):
+    """Regression: ``--devices 2 --crash-node 5`` once crashed node 1."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    spec = _write_spec(tmp_path)
+    assert main(["fleet", str(spec), "--devices", "2", "--scales", "1.0",
+                 "--duration", "0.4", "--jobs", "1", "--no-cache",
+                 "--crash-node", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "node(s) [5] outside a 2-device fleet" in err

@@ -40,7 +40,7 @@ def _poisson_spec(rate=50.0):
 
 def test_four_device_diurnal_grid_is_bit_identical_serial_vs_pooled():
     kwargs = dict(devices=(4,), scales=(0.5, 1.0), duration=0.8,
-                  use_cache=False)
+                  store=None)
     serial = run_fleet(_base(devices=4), _diurnal_spec(), jobs=1, **kwargs)
     pooled = run_fleet(_base(devices=4), _diurnal_spec(), jobs=2, **kwargs)
     repeat = run_fleet(_base(devices=4), _diurnal_spec(), jobs=1, **kwargs)
@@ -52,7 +52,7 @@ def test_four_device_diurnal_grid_is_bit_identical_serial_vs_pooled():
 def test_fleet_report_shape_and_knee():
     report = run_fleet(_base(), _poisson_spec(), devices=(1, 2),
                        routers=("least-loaded", "free-cu"),
-                       scales=(0.5, 1.0), duration=0.5, use_cache=False)
+                       scales=(0.5, 1.0), duration=0.5, store=None)
     assert len(report.cells) == 2 * 2 * 2
     # Grid order: devices-major, then router, then rate.
     assert [c.devices for c in report.cells] == [1] * 4 + [2] * 4
@@ -86,13 +86,13 @@ def _tree(root):
 
 def test_pooled_fleet_uses_only_the_given_store(tmp_path, monkeypatch):
     """Regression: pooled cells once read and wrote the process-default
-    cluster store, ignoring ``cache=``, so a warm pooled rerun reported
+    cluster store, ignoring the given store, so a warm pooled rerun reported
     no hits and the given store stayed empty."""
     default = tmp_path / "default"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(default))
     store = ContentStore(root=tmp_path / "given")
     kwargs = dict(devices=(1, 2), scales=(1.0,), duration=0.4, jobs=2,
-                  cache=store)
+                  store=store)
     cold = run_fleet(_base(), _poisson_spec(), **kwargs)
     assert cold.cache_hits == 0 and store.stats.stores == 2
     assert len(list((tmp_path / "given" / "cluster").rglob("*.json"))) == 2
@@ -154,3 +154,26 @@ def test_batch_size_mismatch_is_rejected():
         model="squeezenet", arrivals=PoissonArrivals(50.0), batch_size=8)
     with pytest.raises(ValueError, match="batch"):
         run_cluster_experiment(_base(), spec, duration=0.5)
+
+
+@pytest.mark.parametrize("field", ["tracer", "recorder", "metrics", "audit",
+                                   "workload"])
+def test_fleet_rejects_options_it_cannot_honour(field):
+    with pytest.raises(ValueError, match=f"run_fleet.*{field}"):
+        run_fleet(_base(), _poisson_spec(), devices=(1,), scales=(1.0,),
+                  options=RunOptions(**{field: object()}), store=None)
+
+
+def test_node_crash_outside_the_fleet_is_rejected():
+    """Regression: ``NodeCrash(node=3)`` on a 2-device fleet once
+    crashed node 1 (the index wrapped modulo the fleet size)."""
+    outside = RunOptions(faults=FaultSchedule((NodeCrash(0.2, node=3),)))
+    with pytest.raises(ValueError,
+                       match=r"node\(s\) \[3\] outside a 2-device fleet"):
+        run_cluster_experiment(_base(), _poisson_spec(), duration=0.4,
+                               options=outside)
+    # The grid checks every fleet size before it runs a cell.
+    node1 = RunOptions(faults=FaultSchedule((NodeCrash(0.2, node=1),)))
+    with pytest.raises(ValueError, match=r"\[1\] outside a 1-device fleet"):
+        run_fleet(_base(), _poisson_spec(), devices=(2, 1), scales=(1.0,),
+                  duration=0.4, options=node1, store=None)

@@ -147,9 +147,9 @@ def test_cached_run_experiment_recomputes_after_corruption(monkeypatch,
     cache = ContentStore()
     config = ExperimentConfig(("squeezenet",), batch_size=4,
                               requests_scale=0.25)
-    first = cached_run_experiment(config, cache)
+    first = cached_run_experiment(config, store=cache)
     cache.path_for(ExperimentCell(config)).write_text("{truncated")
-    second = cached_run_experiment(config, cache)
+    second = cached_run_experiment(config, store=cache)
     assert first == second
     assert cache.stats.invalidations == 1
 

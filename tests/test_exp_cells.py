@@ -2,13 +2,20 @@
 grid that runs on it."""
 
 import hashlib
+import inspect
 from dataclasses import dataclass
 
 import pytest
 
-from repro.exp.cache import ContentStore
-from repro.exp.cells import results_or_raise, run_cells
+from repro.cluster.fleet import run_fleet
+from repro.exp.cache import ContentStore, default_cache
+from repro.exp.cells import cached_run_experiment, results_or_raise, run_cells
 from repro.exp.chaos import run_chaos
+from repro.exp.load import run_load_curve
+from repro.exp.sweep import run_sweep
+from repro.server.experiment import ExperimentConfig
+from repro.server.options import RunOptions
+from repro.server.slo import SloGuard
 
 
 @dataclass(frozen=True)
@@ -89,15 +96,62 @@ def test_invalid_arguments_rejected():
 
 
 def test_chaos_serial_pooled_and_cached_are_bit_identical(tmp_path):
-    kwargs = dict(batch_size=4, requests_scale=0.25)
-    grid = (("squeezenet",) * 2, ("krisp-i", "mps-default"),
-            ("crash", "storm"))
-    serial = run_chaos(*grid, jobs=1, use_cache=False, **kwargs)
-    pooled = run_chaos(*grid, jobs=2, use_cache=False, **kwargs)
+    grid = (ExperimentConfig(("squeezenet",) * 2, batch_size=4,
+                             requests_scale=0.25),
+            ("krisp-i", "mps-default"), ("crash", "storm"))
+    serial = run_chaos(*grid, jobs=1, store=None)
+    pooled = run_chaos(*grid, jobs=2, store=None)
     store = ContentStore(root=tmp_path)
-    cold = run_chaos(*grid, jobs=2, cache=store, **kwargs)
-    warm = run_chaos(*grid, jobs=2, cache=store, **kwargs)
+    cold = run_chaos(*grid, jobs=2, store=store)
+    warm = run_chaos(*grid, jobs=2, store=store)
     assert store.stats.stores == 6 and store.stats.hits == 6
     for report in (pooled, cold, warm):
         assert report.cells == serial.cells
         assert report.to_rows() == serial.to_rows()
+
+
+def test_grid_runners_share_one_options_surface():
+    """Every grid runner ends in the keyword tail ``options, jobs, store,
+    progress`` with one set of defaults, and no runner keeps a second
+    spelling of the store or of the harness options."""
+    legacy = {"cache", "use_cache", "cache_store", "faults", "guard"}
+    for runner in (run_sweep, run_load_curve, run_chaos, run_fleet):
+        params = inspect.signature(runner).parameters
+        tail = list(params)[-4:]
+        assert tail == ["options", "jobs", "store", "progress"], runner
+        assert all(params[name].kind is inspect.Parameter.KEYWORD_ONLY
+                   for name in tail), runner
+        assert [params[name].default for name in tail] \
+            == [None, None, default_cache(), None], runner
+        assert not legacy & set(params), runner
+    params = inspect.signature(cached_run_experiment).parameters
+    assert list(params) == ["config", "options", "store"]
+    assert params["store"].default is default_cache()
+
+
+CHAOS_BASE = ExperimentConfig(("squeezenet",), batch_size=4,
+                              requests_scale=0.25)
+
+
+@pytest.mark.parametrize("field", ["tracer", "recorder", "metrics", "audit",
+                                   "workload", "faults"])
+def test_chaos_rejects_options_it_cannot_honour(field):
+    with pytest.raises(ValueError, match=f"run_chaos.*{field}"):
+        run_chaos(CHAOS_BASE, ("krisp-i",), ("crash",),
+                  options=RunOptions(**{field: object()}), store=None)
+
+
+def test_chaos_takes_its_guard_from_options():
+    guard = SloGuard(admission_depth=4, deadline=0.5)
+    report = run_chaos(CHAOS_BASE, ("krisp-i",), ("crash",),
+                       options=RunOptions(guard=guard), jobs=1, store=None)
+    assert report.guard == guard
+    assert report.config == CHAOS_BASE
+
+
+@pytest.mark.parametrize("field", ["tracer", "recorder", "metrics", "audit",
+                                   "workload"])
+def test_cached_run_experiment_rejects_observers(field):
+    with pytest.raises(ValueError, match=f"cached_run_experiment.*{field}"):
+        cached_run_experiment(CHAOS_BASE, RunOptions(**{field: object()}),
+                              store=None)

@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from repro.exp.cache import ContentStore
 from repro.exp.sweep import Sweep, default_jobs, run_sweep
 from repro.server.experiment import ExperimentConfig, run_experiment
 
@@ -40,13 +41,13 @@ def test_serial_pool_and_cache_paths_are_bit_identical(monkeypatch,
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     serial = {config: run_experiment(config) for config in CONFIGS}
 
-    pooled = run_sweep(CONFIGS, jobs=2, cache=True)
+    pooled = run_sweep(CONFIGS, jobs=2)
     assert pooled.ok
     assert pooled.ran == len(CONFIGS) and pooled.cached == 0
     for config in CONFIGS:
         _assert_identical(pooled.result(config), serial[config])
 
-    warm = run_sweep(CONFIGS, jobs=2, cache=True)
+    warm = run_sweep(CONFIGS, jobs=2)
     assert warm.ok
     assert warm.ran == 0 and warm.cached == len(CONFIGS)
     for config in CONFIGS:
@@ -55,7 +56,7 @@ def test_serial_pool_and_cache_paths_are_bit_identical(monkeypatch,
 
 def test_serial_fallback_matches_direct_runs(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    report = run_sweep([CONFIGS[0]], jobs=1, cache=False)
+    report = run_sweep([CONFIGS[0]], jobs=1, store=None)
     assert report.ok and report.cached == 0
     _assert_identical(report.result(CONFIGS[0]), run_experiment(CONFIGS[0]))
 
@@ -80,7 +81,7 @@ def test_failing_cell_does_not_abort_siblings(monkeypatch, tmp_path):
 
 def test_failed_cells_are_retried(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    report = run_sweep([BAD], jobs=1, retries=2, cache=False)
+    report = run_sweep([BAD], jobs=1, retries=2, store=None)
     assert report.failed[0].attempts == 3
 
 
@@ -112,13 +113,36 @@ def test_report_accounting(monkeypatch, tmp_path):
 def test_default_jobs_honours_env(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "3")
     assert default_jobs() == 3
-    monkeypatch.setenv("REPRO_JOBS", "0")
-    assert default_jobs() == 1
     monkeypatch.setenv("REPRO_JOBS", "two")
     with pytest.raises(ValueError, match="REPRO_JOBS"):
         default_jobs()
     monkeypatch.delenv("REPRO_JOBS")
     assert default_jobs() >= 1
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_default_jobs_rejects_values_below_one(monkeypatch, value):
+    """Regression: ``REPRO_JOBS=0`` once ran serially without a word,
+    while ``--jobs 0`` and ``run_cells(jobs=0)`` both refused it."""
+    monkeypatch.setenv("REPRO_JOBS", value)
+    with pytest.raises(ValueError, match=f"REPRO_JOBS='{value}'"):
+        default_jobs()
+    with pytest.raises(ValueError, match="REPRO_JOBS"):
+        run_sweep([CONFIGS[0]])
+
+
+def test_given_store_is_the_only_store(tmp_path, monkeypatch):
+    """Regression: ``run_sweep(cells, cache=store)`` once wrote to the
+    default store; ``store=`` is now the one store a sweep touches."""
+    default = tmp_path / "default"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(default))
+    store = ContentStore(root=tmp_path / "given")
+    cold = run_sweep([CONFIGS[0]], jobs=1, store=store)
+    assert cold.ran == 1 and store.stats.stores == 1
+    assert len(list((tmp_path / "given" / "results").rglob("*.json"))) == 1
+    warm = run_sweep([CONFIGS[0]], jobs=1, store=store)
+    assert warm.cached == 1 and store.stats.hits == 1
+    assert not default.exists()
 
 
 def test_unknown_config_raises_key_error(monkeypatch, tmp_path):

@@ -107,10 +107,10 @@ def test_fault_injected_runs_are_bit_identical(monkeypatch, tmp_path):
 
     serial = run_experiment(CONFIG,
                             RunOptions(faults=schedule, guard=GUARD))
-    pooled = run_sweep([CONFIG], jobs=2, cache=True,
+    pooled = run_sweep([CONFIG], jobs=2,
                        options=RunOptions(faults=schedule, guard=GUARD))
     assert pooled.ok and pooled.ran == 1
-    warm = run_sweep([CONFIG], jobs=2, cache=True,
+    warm = run_sweep([CONFIG], jobs=2,
                      options=RunOptions(faults=schedule, guard=GUARD))
     assert warm.ok and warm.cached == 1 and warm.ran == 0
 

@@ -305,9 +305,9 @@ def test_load_curve_serial_and_pooled_are_identical(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     spec = poisson_spec(200.0)
     serial = run_load_curve(CONFIG, spec, scales=(0.5, 1.0), duration=0.4,
-                            jobs=1, use_cache=False)
+                            jobs=1, store=None)
     pooled = run_load_curve(CONFIG, spec, scales=(0.5, 1.0), duration=0.4,
-                            jobs=2, use_cache=False)
+                            jobs=2, store=None)
     assert serial.points == pooled.points
     assert serial.cache_hits == pooled.cache_hits == 0
 
@@ -317,10 +317,10 @@ def test_load_curve_cache_round_trip(tmp_path, monkeypatch):
     cache = ContentStore()
     spec = poisson_spec(200.0)
     first = run_load_curve(CONFIG, spec, scales=(0.5, 1.0), duration=0.4,
-                           cache=cache)
+                           store=cache)
     assert first.cache_hits == 0
     second = run_load_curve(CONFIG, spec, scales=(0.5, 1.0), duration=0.4,
-                            cache=cache)
+                            store=cache)
     assert second.cache_hits == len(second.points) == 2
     assert second.points == first.points
     assert cache.stats.hits == 2
@@ -330,7 +330,7 @@ def test_load_curve_latency_rises_with_rate(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     report = run_load_curve(CONFIG, poisson_spec(200.0),
                             scales=(0.25, 1.0, 4.0), duration=0.5,
-                            use_cache=False)
+                            store=None)
     p95s = [p.latency.p95 for p in report.points]
     assert p95s[0] <= p95s[-1]
     assert report.points[-1].offered_rps == pytest.approx(800.0)
