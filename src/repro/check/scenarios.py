@@ -16,6 +16,10 @@ hash leaves its pin.  The roster covers the simulator's hot paths:
     A guarded cell under the mixed fault schedule (crash + straggler +
     bandwidth spike + storm + perf-DB dropout), exercising the fault
     scale / bandwidth-regime dirty paths.
+``contended``
+    ``colo4``'s cell under MPS Default: every kernel takes the whole
+    device, so nearly every rate comes from the shared-CU capacity
+    path that KRISP's right-sizing otherwise avoids.
 ``maskgen``
     Pure Algorithm-1 stress: mask generation against churning per-CU
     counters, no DES at all.  Isolates the allocator.
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.core.allocation import ResourceMaskGenerator
@@ -43,7 +47,7 @@ from repro.sim.rng import RngRegistry
 
 __all__ = ["Scenario", "ScenarioRun", "SCENARIOS",
            "COLO4_CONFIG", "DENSE_CONFIG", "CHAOS_CONFIG", "CHAOS_GUARD",
-           "chaos_faults"]
+           "CONTENDED_CONFIG", "chaos_faults"]
 
 #: The pinned experiment cells, exposed as module constants so the
 #: differential checks can replay exactly these cells through other
@@ -57,6 +61,7 @@ DENSE_CONFIG = ExperimentConfig(
     ("squeezenet",) * 48, policy="krisp-i", batch_size=1,
     seed=0, requests_scale=0.015625)
 CHAOS_CONFIG = COLO4_CONFIG
+CONTENDED_CONFIG = replace(COLO4_CONFIG, policy="mps-default")
 #: Fixed-deadline guard (rather than the SLO-derived default) so the
 #: scenario's behaviour is pinned by this module alone.
 CHAOS_GUARD = SloGuard(admission_depth=8, deadline=0.25,
@@ -120,6 +125,10 @@ def _run_dense() -> ScenarioRun:
 def _run_chaos() -> ScenarioRun:
     return _cell(CHAOS_CONFIG, faults=chaos_faults(CHAOS_CONFIG),
                  guard=CHAOS_GUARD)
+
+
+def _run_contended() -> ScenarioRun:
+    return _cell(CONTENDED_CONFIG)
 
 
 def _churn_masks(allocator, iterations: int = 60_000) -> ScenarioRun:
@@ -187,6 +196,13 @@ SCENARIOS: dict[str, Scenario] = {
             config=CHAOS_CONFIG,
             guard=CHAOS_GUARD,
             faults_for=chaos_faults,
+        ),
+        Scenario(
+            "contended",
+            _run_contended,
+            "f5d2c5176634f5574851af9c74346cb3"
+            "6d2088aa27c32df4307752ae2ab277de",
+            config=CONTENDED_CONFIG,
         ),
         Scenario(
             "maskgen",
