@@ -14,6 +14,7 @@ mutation                         caught by
 ===============================  ======================================
 ``drop-dirty-entry``             incremental device audit (any path)
 ``ignore-co-residents``          device audit's slow-path rate check
+``stale-capacity-memo``          device audit's capacity-memo check
 ``skip-se-load-update``          counter self-audit in the mask program
 ``skew-mask-shape``              Algorithm-1 active-SE law (L3)
 ``tamper-cached-result``         cached-vs-fresh differential hash
@@ -115,6 +116,19 @@ def _ignore_co_residents() -> Iterator[None]:
     it.
     """
     with _patch(CUKernelCounters, "shared", lambda self, mask: False):
+        yield
+
+
+@contextmanager
+def _stale_capacity_memo() -> Iterator[None]:
+    """The shared-capacity memo is keyed on the mask alone, so a cached
+    capacity outlives the residency it was computed at.
+
+    Both recompute modes read the same memo and a cached rate still
+    matches its own recompute, so only the device audit's comparison
+    of every memo entry with the slow-path capacities catches it.
+    """
+    with _patch(CUKernelCounters, "lanes", lambda self: 0):
         yield
 
 
@@ -294,6 +308,12 @@ MUTATIONS: tuple[Mutation, ...] = (
         "ignore-co-residents",
         "the rate model ignores kernels sharing a CU",
         _ignore_co_residents,
+        _device_audit_check,
+    ),
+    Mutation(
+        "stale-capacity-memo",
+        "the shared-capacity memo key drops the counter state",
+        _stale_capacity_memo,
         _device_audit_check,
     ),
     Mutation(

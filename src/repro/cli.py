@@ -686,18 +686,17 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     guard = _slo_guard(args.deadline, args.admission)
 
-    faults = None
-    if args.crash_node is not None:
-        from repro.faults.schedule import FaultSchedule, NodeCrash
-        faults = FaultSchedule(
-            (NodeCrash(time=args.crash_time, node=args.crash_node),))
-
     native = spec.offered_rps()
     scales = tuple(args.scales)
     if args.rates:
         scales = tuple(rate / native for rate in args.rates)
 
     try:
+        faults = None
+        if args.crash_node is not None:
+            from repro.faults.schedule import FaultSchedule, NodeCrash
+            faults = FaultSchedule(
+                (NodeCrash(time=args.crash_time, node=args.crash_node),))
         report = run_fleet(
             base, spec,
             devices=tuple(args.devices),

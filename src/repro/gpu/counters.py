@@ -22,7 +22,9 @@ because counts stay within ``max_kernels_per_cu <= 127``.
   :meth:`GpuDevice._effective_latency
   <repro.gpu.device.GpuDevice._effective_latency>` reads it to return a
   kernel's wave-quantised floor latency before its per-CU capacity loop
-  whenever the kernel is alone on its CUs.
+  whenever the kernel is alone on its CUs; under contention it keys its
+  per-SE capacity memo on the packed int itself
+  (:meth:`CUKernelCounters.lanes`).
 - busy anywhere on the mask (:meth:`CUKernelCounters.busy_on`).  With
   ``shared`` it tells the device when a launch or retirement leaves the
   CUs to no other kernel, so its rate dirty set needs no resident scan.
@@ -175,6 +177,12 @@ class CUKernelCounters:
     def total_assigned(self) -> int:
         """Sum of all counters (kernel-CU assignments in flight).  O(1)."""
         return self._total
+
+    def lanes(self) -> int:
+        """The packed per-CU counts as one int (CU *i* in bits
+        ``8i .. 8i+7``).  Hashable and O(1): the device keys its
+        shared-capacity memo on it."""
+        return self._lanes
 
     def snapshot(self) -> bytes:
         """The per-CU counts, one byte per CU (byte *i* = CU *i*).

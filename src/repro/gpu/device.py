@@ -7,8 +7,9 @@ residency, and the device-wide memory-bandwidth pool.  Whenever the
 resident set changes, the affected kernels' completion events are
 rescheduled at their new rates — an exact piecewise-constant-rate
 (processor-sharing) model.  Per-kernel invariants are cached at launch,
-memoised per (descriptor, mask); the slow-path formulas in
-:mod:`repro.gpu.exec_model` stay the single source of truth.
+memoised per (descriptor, mask), and a shared mask's per-SE CU
+capacities are memoised per (mask, packed counters); the slow-path
+formulas in :mod:`repro.gpu.exec_model` stay the single source of truth.
 
 Rate recomputes are *incremental*: every state change has an exact
 dirty set — the records whose CUs intersect the changed mask (read off
@@ -58,6 +59,7 @@ from repro.gpu.exec_model import (
     ExecutionModelConfig,
     bandwidth_demand,
     contended_latency,
+    effective_cus_per_se,
     isolated_latency,
     memory_throttle,
     split_workgroups,
@@ -76,6 +78,9 @@ _PROGRESS_EPS = 1e-9
 
 # Trim the advance log once it outgrows this (or twice its last size).
 _LOG_TRIM_MIN = 64
+
+# Clear the shared-capacity memo once it holds this many residency states.
+_CAPACITY_CACHE_LIMIT = 4096
 
 
 @dataclass(slots=True)
@@ -170,6 +175,15 @@ class GpuDevice:
         self._occupied_per_se: list[int] = [0] * self.topology.num_se
         self._next_seq_no = 0
         self._invariant_cache: dict = {}
+        # Contended rates: the per-SE CU capacities of a shared mask,
+        # memoised on (mask bits, packed counter lanes) and cleared at
+        # _CAPACITY_CACHE_LIMIT states, and the capacity one CU holding
+        # r kernels lends each of them, (1/r) ** alpha, indexed by r.
+        self._capacity_cache: dict = {}
+        alpha = self.exec_config.intra_cu_alpha
+        self._cu_capacity = tuple(
+            (1.0 / r) ** alpha if r > 1 else 1.0
+            for r in range(self.topology.max_kernels_per_cu + 1))
         # Lazy progress: the instants at which the time integrals closed,
         # from absolute index ``_log_base`` on.  Full-recompute mode
         # credits eagerly and never appends.
@@ -383,25 +397,37 @@ class GpuDevice:
         """Latency under current residency and bandwidth (fast path).
 
         A kernel alone on its CUs runs at its wave-quantised floor, so
-        the per-CU capacity loop only runs when some CU of its mask holds
-        two or more kernels.
+        the per-SE capacities are only read when some CU of its mask
+        holds two or more kernels.  They depend on the mask and the
+        counters alone, so every kernel on the same mask at the same
+        residency shares one memo entry; a miss sums the per-CU
+        capacities in CU order, the additions a fresh sum makes.
         """
         config = self.exec_config
         desc = record.launch.descriptor
         latency = record.floor_latency
         counters = self.counters
-        if counters.shared(record.mask):
-            residents = counters.snapshot()
-            alpha = config.intra_cu_alpha
+        mask = record.mask
+        if counters.shared(mask):
+            key = (mask.bits, counters.lanes())
+            cache = self._capacity_cache
+            capacities = cache.get(key)
+            if capacities is None:
+                residents = counters.snapshot()
+                cu_capacity = self._cu_capacity
+                per_se = []
+                for _se, _weight, se_cus in record.se_shares:
+                    capacity = 0.0
+                    for cu in se_cus:
+                        capacity += cu_capacity[residents[cu]]
+                    per_se.append(capacity)
+                capacities = tuple(per_se)
+                if len(cache) >= _CAPACITY_CACHE_LIMIT:
+                    cache.clear()
+                cache[key] = capacities
             shared = 0.0
-            for _se, weight, se_cus in record.se_shares:
-                capacity = 0.0
-                for cu in se_cus:
-                    r = residents[cu]
-                    if r > 1:
-                        capacity += (1.0 / r) ** alpha
-                    else:
-                        capacity += 1.0
+            for (_se, weight, _cus), capacity in zip(record.se_shares,
+                                                     capacities):
                 se_time = weight / capacity
                 if se_time > shared:
                     shared = se_time
@@ -604,9 +630,10 @@ class GpuDevice:
         Cross-checks every incrementally maintained structure (the
         demand set, the occupied-CU meter aggregate, the counters, the
         cached rates) against a fresh
-        rescan of the resident set, every cached rate against the
-        slow-path formulas of :mod:`repro.gpu.exec_model`, and balances
-        the work-conservation ledger.  Returns human-readable violation
+        rescan of the resident set, every cached rate and every
+        shared-capacity memo entry against the slow-path formulas of
+        :mod:`repro.gpu.exec_model`, and balances the work-conservation
+        ledger.  Returns human-readable violation
         strings (empty = consistent).  Safe to call at any time between
         events; does not change any simulation state beyond advancing
         the counters' time integrals to ``now``.
@@ -701,6 +728,22 @@ class GpuDevice:
                 violations.append(
                     f"device: kernel seq {seq} latency "
                     f"{rec.eff_latency!r} != slow path {slow!r}")
+
+        # Every shared-capacity memo entry against the slow-path
+        # capacities at the residency its key records: a stale entry
+        # can outlive the rates it fed, so the rate check alone misses
+        # it.  Both sum the same floats in CU order, so they are equal.
+        for (bits, lanes), capacities in self._capacity_cache.items():
+            mask = CUMask(topo, bits)
+            at_key = dict(enumerate(lanes.to_bytes(topo.total_cus,
+                                                   "little")))
+            fresh = tuple(cap for cap, cus in zip(
+                effective_cus_per_se(mask, at_key, config.intra_cu_alpha),
+                mask.per_se_counts()) if cus)
+            if fresh != capacities:
+                violations.append(
+                    f"device: capacity memo for mask 0x{bits:x} holds "
+                    f"{capacities!r} != slow path {fresh!r}")
 
         # Work conservation: the counters' CU-time integral must balance
         # the per-kernel ledger (retired work + live partial work).  The

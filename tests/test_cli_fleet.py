@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import build_parser, main
 from repro.workload.arrivals import PoissonArrivals
 from repro.workload.spec import HomogeneousWorkloadSpec
@@ -106,3 +108,18 @@ def test_fleet_command_rejects_a_crash_node_outside_the_fleet(
                  "--crash-node", "5"]) == 2
     err = capsys.readouterr().err
     assert "node(s) [5] outside a 2-device fleet" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--crash-node", "-1"), "node index must be >= 0"),
+    (("--crash-node", "0", "--crash-time", "-1"), "crash time must be >= 0"),
+])
+def test_fleet_command_rejects_a_negative_crash_flag(
+        tmp_path, monkeypatch, capsys, flags, message):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    spec = _write_spec(tmp_path)
+    assert main(["fleet", str(spec), "--devices", "2", "--scales", "1.0",
+                 "--duration", "0.4", "--jobs", "1", "--no-cache",
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == f"fleet: {message}"

@@ -5,10 +5,14 @@ lane of a single int.  Random assign/release programs must leave it in
 exactly the state of a plain list of per-CU counts — every aggregate,
 every high-water mark, and the same refusals naming the same CU — and
 the device's contention test must fire exactly when some CU of a
-kernel's mask holds two or more kernels.
+kernel's mask holds two or more kernels.  The per-SE capacities the
+device memoises on ``(mask, packed lanes)`` must give every contended
+latency bit for bit as a fresh computation does, within a fixed bound.
 """
 
 import dataclasses
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,8 @@ from hypothesis import strategies as st
 
 from repro.gpu.counters import CUKernelCounters
 from repro.gpu.cu_mask import CUMask
-from repro.gpu.device import GpuDevice
+from repro.gpu.device import _CAPACITY_CACHE_LIMIT, GpuDevice
+from repro.gpu.exec_model import contended_latency
 from repro.gpu.kernel import KernelDescriptor, KernelLaunch
 from repro.gpu.topology import GpuTopology
 from repro.sim.engine import Simulator
@@ -155,4 +160,76 @@ def test_contention_loop_runs_exactly_when_a_cu_is_shared(topo, data):
         assert probe.read == any(naive.counts[cu] >= 2
                                  for cu in record.mask.cu_tuple)
         assert latency == record.eff_latency
+    assert device.audit_state() == []
+
+
+def _launch_all(device, kernels, masks):
+    for kernel, cus in zip(kernels, masks):
+        device.launch(KernelLaunch(kernel),
+                      CUMask.from_cus(device.topology, cus))
+
+
+@pytest.mark.parametrize("topo", TOPOLOGIES, ids=IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_capacity_memo_hits_match_a_fresh_computation(topo, data):
+    """A warm memo, a cleared memo and a fresh device agree bit for bit,
+    and match the slow path within the audit's tolerance."""
+    kernels, masks = [], []
+    naive = NaiveCounters(topo)
+    for i in range(data.draw(st.integers(2, 8), label="launches")):
+        cus = data.draw(_masks(topo))
+        if naive.assign(cus) is None:
+            kernels.append(KernelDescriptor(
+                name=f"k{i}", mem_intensity=0.0,
+                workgroups=data.draw(st.integers(1, 8 * topo.total_cus)),
+                wg_duration=1e-5))
+            masks.append(cus)
+    # Warm the memo with other residencies, then with this one (each
+    # drained), so the final launches below replay states it holds.
+    sim = Simulator()
+    warm = GpuDevice(sim, topo)
+    other = NaiveCounters(topo)
+    for _ in range(data.draw(st.integers(0, 4), label="warm-ups")):
+        cus = data.draw(_masks(topo))
+        if other.assign(cus) is None:
+            warm.launch(KernelLaunch(kernels[0]), CUMask.from_cus(topo, cus))
+    sim.run()
+    _launch_all(warm, kernels, masks)
+    sim.run()
+    _launch_all(warm, kernels, masks)
+    fresh = GpuDevice(Simulator(), topo)
+    _launch_all(fresh, kernels, masks)
+
+    counts = dict(enumerate(warm.counters.snapshot()))
+    for hot, cold in zip(warm.residents(), fresh.residents()):
+        latency = warm._effective_latency(hot)
+        assert latency == hot.eff_latency == cold.eff_latency
+        fresh._capacity_cache.clear()
+        assert fresh._effective_latency(cold) == latency
+        slow = contended_latency(hot.launch.descriptor, hot.mask, counts,
+                                 warm.exec_config)
+        assert math.isclose(latency, slow, rel_tol=1e-9)
+    assert warm.audit_state() == []
+
+
+def test_capacity_memo_stays_bounded_under_churn():
+    """Thousands of distinct contended residencies never grow the memo
+    past its bound."""
+    sim = Simulator()
+    device = GpuDevice(sim, MI50)
+    long_kernel = KernelDescriptor(name="long", workgroups=1 << 20)
+    short_kernel = KernelDescriptor(name="short", workgroups=4)
+    device.launch(KernelLaunch(long_kernel), CUMask.all_cus(MI50))
+    rng = random.Random(0)
+    states = set()
+    peak = 0
+    for _ in range(3 * _CAPACITY_CACHE_LIMIT // 2):
+        cus = rng.sample(range(MI50.total_cus), rng.randint(1, 4))
+        device.launch(KernelLaunch(short_kernel), CUMask.from_cus(MI50, cus))
+        states.add(device.counters.lanes())
+        peak = max(peak, len(device._capacity_cache))
+        sim.run(until=sim.now + 1e-3)
+    assert len(states) > _CAPACITY_CACHE_LIMIT
+    assert 0 < peak <= _CAPACITY_CACHE_LIMIT
     assert device.audit_state() == []
